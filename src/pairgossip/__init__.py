@@ -9,8 +9,7 @@ centralized baselines.
 from .analysis import (BoundInputs, TraceRecord, bound_constants,
                        dual_disagreement, read_trace, write_trace)
 from .async_gossip import AsyncRunConfig, run_async
-from .centralized import (deterministic_gap_bound, run_centralized,
-                          solve_reference)
+from .centralized import run_centralized, solve_reference
 from .datasets import (SyntheticSpec, gen_gaussian_mixture,
                        gen_two_class_gaussians, load_breast_cancer)
 from .graphs import (Graph, activation_probabilities, build_topology,
@@ -19,8 +18,7 @@ from .graphs import (Graph, activation_probabilities, build_topology,
                      write_edgelist)
 from .harness import (RunConfig, compare_baseline, run_experiment, run_many)
 from .losses import (Dataset, PairwiseLoss, auc_score, exact_partial_gradient,
-                     full_gradient, full_objective, loss_grad, loss_lipschitz,
-                     loss_value)
+                     full_gradient, full_objective, loss_grad, loss_lipschitz)
 from .regularizers import (Regularizer, StepSchedule, prox_psi, psi_value,
                            smoothing_op, step_gamma)
 from .sync_gossip import SyncRunConfig, run_sync
@@ -30,14 +28,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AsyncRunConfig", "BoundInputs", "Dataset", "Graph", "PairwiseLoss",
     "Regularizer", "RunConfig", "StepSchedule", "SyncRunConfig",
-    "SyntheticSpec", "TraceRecord", "activation_probabilities", "auc_score",
-    "bound_constants", "build_topology", "compare_baseline", "complete_graph",
-    "cycle_graph", "deterministic_gap_bound", "dual_disagreement",
+    "SyntheticSpec", "TraceRecord", "activation_probabilities",
+    "auc_score", "bound_constants", "build_topology", "compare_baseline",
+    "complete_graph", "cycle_graph", "dual_disagreement",
     "exact_partial_gradient", "full_gradient", "full_objective",
-    "gen_gaussian_mixture", "gen_two_class_gaussians", "load_breast_cancer",
-    "loss_grad", "loss_lipschitz", "loss_value", "prox_psi", "psi_value",
-    "read_edgelist", "read_trace", "run_async", "run_centralized",
-    "run_experiment", "run_many", "run_sync", "sample_edge", "solve_reference",
-    "spectral_gap", "step_gamma", "tensor_with_complete",
-    "watts_strogatz_graph", "write_edgelist", "write_trace",
+    "gen_gaussian_mixture", "gen_two_class_gaussians",
+    "load_breast_cancer", "loss_grad", "loss_lipschitz", "prox_psi",
+    "psi_value", "read_edgelist", "read_trace", "run_async",
+    "run_centralized", "run_experiment", "run_many", "run_sync",
+    "sample_edge", "solve_reference", "spectral_gap", "step_gamma",
+    "tensor_with_complete", "watts_strogatz_graph", "write_edgelist",
+    "write_trace",
 ]

@@ -1,4 +1,4 @@
-"""Fully asynchronous gossip dual averaging.
+"""Fully asynchronous gossip dual averaging: a step policy of the gossip engine.
 
 A single global iteration counter draws uniform edges, which is equivalent to
 per-node Poisson clocks of unit rate; only the two endpoints of the drawn edge
@@ -10,17 +10,16 @@ running average.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import TraceRecord, make_record
-from .graphs import activation_probabilities, sample_edge
-from .losses import exact_partial_gradient, loss_grad
+from .analysis import TraceRecord
+from .graphs import activation_probabilities
+from .losses import loss_grad
 from .regularizers import smoothing_op, step_gamma
-from .sync_gossip import EDGE_STREAM, SyncRunConfig, SyncState, param_shape
+from .sync_gossip import GossipState, SyncRunConfig, gossip_exchange, run_gossip
 
 
 @dataclass
@@ -35,31 +34,16 @@ class AsyncRunConfig(SyncRunConfig):
                           f"{self.sched.kind!r} is heuristic", stacklevel=2)
 
 
-@dataclass
-class AsyncState(SyncState):
-    m: np.ndarray = None      # local time estimates
-    p: np.ndarray = None      # fixed activation probabilities
-    activations: np.ndarray = None
-    last_active: tuple[int, int] | None = None
-
-    @classmethod
-    def initial_async(cls, n, shape, p):
-        base = SyncState.initial(n, shape)
-        return cls(z=base.z, theta=base.theta, theta_bar=base.theta_bar,
-                   y_idx=base.y_idx, m=np.zeros(n), p=p,
-                   activations=np.zeros(n, dtype=np.int64))
-
-
-def async_step(state: AsyncState, t: int, cfg: AsyncRunConfig,
+def async_step(state: GossipState, t: int, cfg: AsyncRunConfig,
                rng_edge: np.random.Generator,
-               rng_baseline: np.random.Generator | None = None) -> np.ndarray:
-    """One asynchronous iteration, in place; returns the applied d_k stack
-    (zero rows for non-activated nodes)."""
-    i, j = sample_edge(cfg.graph, rng_edge)
-    state.last_active = (i, j)
-    state.y_idx[[i, j]] = state.y_idx[[j, i]]
-    snapshot = 0.5 * (state.z[i] + state.z[j])  # symmetric pre-step average
-    d = np.zeros_like(state.z)
+               rng_baseline: np.random.Generator | None = None):
+    """One asynchronous iteration, in place; only the two endpoints step.
+
+    Returns (their applied directions d_i, d_j; the endpoints [i, j]; the
+    bias index max(m_i, m_j, 1), an activated node's local time estimate).
+    """
+    i, j = gossip_exchange(state, cfg.graph, rng_edge)
+    rows = []
     for k in (i, j):
         if cfg.gradient_mode == "gossip":
             partner = int(state.y_idx[k])
@@ -67,58 +51,18 @@ def async_step(state: AsyncState, t: int, cfg: AsyncRunConfig,
             partner = int(rng_baseline.integers(cfg.data.n))
         grad = loss_grad(cfg.loss, state.theta[k], cfg.data.point(k),
                          cfg.data.point(partner))
-        d[k] = grad / state.p[k]
-        state.z[k] = snapshot + d[k]
+        d = grad / state.p[k]
+        state.z[k] += d
         state.m[k] += 1.0 / state.p[k]
-        state.activations[k] += 1
         mk = state.m[k]
         state.theta[k] = smoothing_op(cfg.reg, -state.z[k], mk,
                                       step_gamma(cfg.sched, mk))
         w = 1.0 / (mk * state.p[k])
         state.theta_bar[k] = (1.0 - w) * state.theta_bar[k] + w * state.theta[k]
-    return d
+        rows.append(d)
+    return rows, [i, j], max(float(state.m[i]), float(state.m[j]), 1.0)
 
 
 def run_async(cfg: AsyncRunConfig) -> list[TraceRecord]:
-    seq = np.random.SeedSequence(cfg.seed)
-    children = seq.spawn(2)
-    rng_edge = np.random.default_rng(children[EDGE_STREAM])
-    rng_baseline = np.random.default_rng(children[1])
-
-    p = activation_probabilities(cfg.graph)
-    state = AsyncState.initial_async(cfg.data.n, param_shape(cfg.loss, cfg.data), p)
-    records = [make_record(0, state.theta_bar, state.z, cfg.data, cfg.loss,
-                           cfg.reg, cfg.r_star, m=state.m)]
-    for t in range(1, cfg.T + 1):
-        at_checkpoint = t % cfg.checkpoint_stride == 0 or t == cfg.T
-        thetas_before = (state.theta.copy()
-                         if cfg.record_bias and at_checkpoint else None)
-        d = async_step(state, t, cfg, rng_edge, rng_baseline)
-        if at_checkpoint:
-            bias = (math.nan, math.nan)
-            if cfg.record_bias:
-                bias = _async_bias(state, thetas_before, d, t, cfg)
-            records.append(make_record(t, state.theta_bar, state.z, cfg.data,
-                                       cfg.loss, cfg.reg, cfg.r_star, bias,
-                                       m=state.m))
-    return records
-
-
-def _async_bias(state: AsyncState, thetas_before: np.ndarray, d: np.ndarray,
-                t: int, cfg: AsyncRunConfig) -> tuple[float, float]:
-    """Bias of the applied directions, with omega indexed by an activated
-    node's local time estimate (the largest m among nodes active this step)."""
-    n = cfg.data.n
-    eps_bar = np.zeros_like(state.z[0])
-    for k in range(n):
-        eps_bar += d[k] - exact_partial_gradient(thetas_before[k], k, cfg.data,
-                                                 cfg.loss)
-    eps_bar /= n
-    i, j = state.last_active
-    m_idx = max(float(state.m[i]), float(state.m[j]), 1.0)
-    zbar = state.z.mean(axis=0)
-    omega = smoothing_op(cfg.reg, -zbar, m_idx, step_gamma(cfg.sched, m_idx))
-    bias = float(np.sum(eps_bar * omega))
-    if cfg.theta_star is None:
-        return bias, math.nan
-    return bias, float(np.sum(eps_bar * (omega - cfg.theta_star)))
+    return run_gossip(cfg, async_step, activation_probabilities(cfg.graph),
+                      local_clocks=True)

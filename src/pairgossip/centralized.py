@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import Dataset, PairwiseLoss, full_gradient, full_objective, loss_grad
+from .losses import (Dataset, PairwiseLoss, full_gradient, full_objective,
+                     loss_grad, param_shape)
 from .regularizers import Regularizer, StepSchedule, prox_psi, smoothing_op, step_gamma
 
 REFERENCE_MAX_ITER = 1_000_000
@@ -22,11 +23,6 @@ class CentralCheckpoint:
     t: int
     theta_bar: np.ndarray
     objective: float
-
-
-def _param_shape(loss: PairwiseLoss, data: Dataset):
-    d = data.dim
-    return (d,) if loss.kind == "auc_logistic" else (d, d)
 
 
 def run_centralized(mode: str, data: Dataset, loss: PairwiseLoss, reg: Regularizer,
@@ -45,7 +41,7 @@ def run_centralized(mode: str, data: Dataset, loss: PairwiseLoss, reg: Regulariz
         raise ValueError("stochastic mode needs a seeded rng")
     marks = set(checkpoints) if checkpoints is not None else {T}
 
-    shape = _param_shape(loss, data)
+    shape = param_shape(loss, data)
     z = np.zeros(shape)
     theta = np.zeros(shape)
     theta_bar = np.zeros(shape)
@@ -65,15 +61,6 @@ def run_centralized(mode: str, data: Dataset, loss: PairwiseLoss, reg: Regulariz
     return trace
 
 
-def deterministic_gap_bound(theta_star_norm: float, L_f: float, sched: StepSchedule,
-                            T: int) -> float:
-    """||theta*||^2/(2 T gamma(T)) + L_f^2/(2T) sum_{t=1}^{T-1} gamma(t)."""
-    if T < 2:
-        raise ValueError("bound defined for T >= 2")
-    s = sum(step_gamma(sched, t) for t in range(1, T))
-    return theta_star_norm ** 2 / (2 * T * step_gamma(sched, T)) + L_f ** 2 * s / (2 * T)
-
-
 def solve_reference(data: Dataset, loss: PairwiseLoss, reg: Regularizer,
                     tolerance: float | None = None,
                     max_iter: int = REFERENCE_MAX_ITER):
@@ -85,7 +72,7 @@ def solve_reference(data: Dataset, loss: PairwiseLoss, reg: Regularizer,
     rule is used), which covers the trivially-optimal configurations exercised
     here.  Raises if the certificate is not reached within max_iter.
     """
-    shape = _param_shape(loss, data)
+    shape = param_shape(loss, data)
     theta = np.zeros(shape)
     if tolerance is None:
         tolerance = 1e-8 * (1.0 + full_objective(theta, data, loss, reg))

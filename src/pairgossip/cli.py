@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import datasets, graphs, harness
+from .sync_gossip import DATA, stream_rng
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -87,9 +88,7 @@ def _cmd_gen_synthetic(args) -> int:
     spec = datasets.SyntheticSpec(n=args.n, ambient_dim=args.dim,
                                   classes=args.classes, subspace_dim=args.subspace,
                                   variance_factor=args.variance)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(args.seed).spawn(4)[harness.DATA_STREAM])
-    data = datasets.gen_gaussian_mixture(spec, rng)
+    data = datasets.gen_gaussian_mixture(spec, stream_rng(args.seed, DATA))
     np.savez(args.out, features=data.features, labels=data.labels)
     print(f"wrote {data.n} x {data.dim} dataset to {args.out}")
     return 0

@@ -79,14 +79,6 @@ class Graph:
         """L = D - A."""
         return np.diag(self.degrees.astype(float)) - self.adjacency()
 
-    def expected_gossip_matrix(self) -> np.ndarray:
-        """Expectation of the pairwise averaging matrix over a uniform edge draw.
-
-        Averaging along edge (i, j) applies I - (e_i - e_j)(e_i - e_j)^T / 2;
-        the uniform-edge expectation is I - L / (2m).
-        """
-        return np.eye(self.n) - self.laplacian() / (2 * self.num_edges)
-
     def is_connected(self) -> bool:
         if self.n == 1:
             return True

@@ -3,9 +3,8 @@
 Configs are JSON documents with one object per ingredient (topology, dataset,
 loss, regularizer, schedule) plus run-level fields.  A run is fully
 reproducible from (config, seed): every stochastic role draws from its own
-named sub-stream of the run's SeedSequence, so draw order is stable under
-refactoring.  Stream indices: 0 edge draws, 1 baseline pair draws (also the
-centralized pair stream), 2 dataset generation, 3 topology generation.
+named sub-stream of the run's SeedSequence (the stream table in
+`sync_gossip`), so draw order is stable under refactoring.
 
 Independent (config, seed) jobs may run concurrently; each job is internally
 single-threaded.  The PAIRGOSSIP_THREADS environment variable caps the job
@@ -29,12 +28,10 @@ from .analysis import BoundInputs, TraceRecord, bound_constants, write_trace
 from .async_gossip import AsyncRunConfig, run_async
 from .losses import Dataset, PairwiseLoss, loss_lipschitz
 from .regularizers import Regularizer, StepSchedule
-from .sync_gossip import SyncRunConfig, run_sync
+from .sync_gossip import (BASELINE, DATA, TOPOLOGY, SyncRunConfig, run_sync,
+                          stream_rng)
 
 ALGORITHMS = ("centralized_det", "centralized_sto", "sync", "async")
-
-DATA_STREAM = 2
-TOPOLOGY_STREAM = 3
 
 
 @dataclass
@@ -84,14 +81,14 @@ def build_graph(spec: dict, seed: int) -> graphs.Graph:
     kind = spec["kind"]
     if kind == "file":
         return graphs.read_edgelist(spec["path"])
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[TOPOLOGY_STREAM])
+    rng = stream_rng(seed, TOPOLOGY)
     ws = (spec["k"], spec["p"]) if kind == "watts_strogatz" else None
     return graphs.build_topology(kind, spec["n"], ws_params=ws, rng=rng)
 
 
 def build_dataset(spec: dict, seed: int) -> Dataset:
     kind = spec["kind"]
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[DATA_STREAM])
+    rng = stream_rng(seed, DATA)
     if kind == "breast_cancer":
         return datasets.load_breast_cancer(spec["path"])
     if kind == "npz":
@@ -148,7 +145,7 @@ def prepare(cfg: RunConfig) -> PreparedRun:
 def _centralized_records(prep: PreparedRun, mode: str) -> list[TraceRecord]:
     cfg = prep.cfg
     marks = sorted({t for t in range(0, cfg.T + 1, cfg.checkpoint_stride)} | {cfg.T})
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[1])
+    rng = stream_rng(cfg.seed, BASELINE)
     trace = centralized.run_centralized(
         mode, prep.data, prep.loss, prep.reg, prep.sched, cfg.T,
         rng=rng, checkpoints=[t for t in marks if t >= 1])
@@ -200,7 +197,12 @@ def summarize(prep: PreparedRun, records: list[TraceRecord],
         "wall_time_s": elapsed,
     }
     if prep.graph is not None:
-        gap = graphs.spectral_gap(prep.graph)
+        try:
+            gap = graphs.spectral_gap(prep.graph)
+        except ValueError as exc:  # bipartite, disconnected or too large
+            summary["spectral_gap"] = None
+            summary["spectral_gap_reason"] = str(exc)
+            return summary
         summary["spectral_gap"] = gap
         if prep.theta_star is not None and prep.cfg.T >= 2:
             c1, c2 = bound_constants(BoundInputs(

@@ -73,6 +73,10 @@ class PairwiseLoss:
         return 1 if self.kind == "auc_logistic" else 2
 
 
+def param_shape(loss: PairwiseLoss, data: Dataset) -> tuple[int, ...]:
+    return (data.dim,) if loss.kind == "auc_logistic" else (data.dim, data.dim)
+
+
 def _check_theta(loss: PairwiseLoss, theta: np.ndarray) -> None:
     if theta.ndim != loss.param_ndim:
         raise ValueError(f"{loss.kind} expects a {loss.param_ndim}-d parameter, "
@@ -81,18 +85,6 @@ def _check_theta(loss: PairwiseLoss, theta: np.ndarray) -> None:
 
 def _mahalanobis(theta: np.ndarray, delta: np.ndarray) -> float:
     return float(delta @ theta @ delta)
-
-
-def loss_value(loss: PairwiseLoss, theta: np.ndarray, p_i: DataPoint, p_j: DataPoint) -> float:
-    _check_theta(loss, theta)
-    if loss.kind == "auc_logistic":
-        if p_i.label <= p_j.label:
-            return 0.0
-        s = float((p_j.features - p_i.features) @ theta)
-        return float(np.logaddexp(0.0, s))
-    delta = p_i.features - p_j.features
-    u = p_i.label * p_j.label * (loss.b - _mahalanobis(theta, delta))
-    return max(0.0, 1.0 - u)
 
 
 def loss_grad(loss: PairwiseLoss, theta: np.ndarray, p_i: DataPoint, p_j: DataPoint) -> np.ndarray:

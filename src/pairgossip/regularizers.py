@@ -111,14 +111,6 @@ def smoothing_many(reg: Regularizer, z_stack: np.ndarray, t: float,
     return np.stack([project_psd(gamma_t * z) for z in z_stack])
 
 
-def smoothing_objective(reg: Regularizer, z: np.ndarray, t: float, gamma_t: float,
-                        theta: np.ndarray) -> float:
-    """The objective the smoothing operator minimizes, for certificate checks."""
-    return (-float(np.sum(z * theta))
-            + float(np.sum(theta * theta)) / (2.0 * gamma_t)
-            + t * psi_value(reg, theta))
-
-
 @dataclass(frozen=True)
 class StepSchedule:
     """Non-increasing scale sequence gamma(t) defined for real t >= 1.
@@ -153,8 +145,3 @@ def step_gamma(sched: StepSchedule, t: float) -> float:
     if sched.kind == "poly":
         return sched.c / t ** (0.5 + sched.alpha)
     return sched.D / (sched.L_f * math.sqrt(2.0 * t))
-
-
-def lagged_gamma(sched: StepSchedule, t: float) -> float:
-    """gamma(t-1) as consumed by the algorithms, with gamma(0) read as gamma(1)."""
-    return step_gamma(sched, max(t - 1, 1))

@@ -1,11 +1,14 @@
-"""Synchronous gossip dual averaging.
+"""Gossip dual averaging engine and its synchronous policy.
 
 Each iteration: draw an edge uniformly, average the two endpoints' dual
-accumulators, swap their auxiliary observations, then let every node take a
-dual-averaging step along its biased partial-gradient estimate.  Runs are
-deterministic state machines keyed by the config seed; auxiliary observations
-are exchanged by value (the swap permutes indices into an immutable dataset,
-which is observationally equivalent to copying the feature vectors).
+accumulators, swap their auxiliary observations, then let nodes take
+dual-averaging steps along their biased partial-gradient estimates.  A step
+policy decides which nodes step and how their gradients are weighted: here
+every node steps each round; `async_gossip` steps only the two endpoints.
+Runs are deterministic state machines keyed by the config seed; auxiliary
+observations are exchanged by value (the swap permutes indices into an
+immutable dataset, which is observationally equivalent to copying the feature
+vectors).
 """
 
 from __future__ import annotations
@@ -18,15 +21,22 @@ import numpy as np
 
 from .analysis import TraceRecord, bias_sample, make_record
 from .graphs import Graph, sample_edge
-from .losses import Dataset, PairwiseLoss, pair_gradients
+from .losses import Dataset, PairwiseLoss, pair_gradients, param_shape
 from .regularizers import Regularizer, StepSchedule, smoothing_many, step_gamma
 
 GRADIENT_MODES = ("gossip", "unbiased_baseline")
 
-# Sub-stream indices of the per-run SeedSequence; fixed so that draw order is
-# stable across refactorings.
-EDGE_STREAM = 0
-BASELINE_STREAM = 1
+# Sub-streams of a run's SeedSequence, one per stochastic role: edge draws,
+# baseline pair draws (also the centralized pair stream), dataset generation,
+# topology generation.  Fixed so that draw order is stable across refactorings.
+EDGE, BASELINE, DATA, TOPOLOGY = range(4)
+
+# Index of every node: the synchronous policy steps them all.
+ALL_NODES = slice(None)
+
+
+def stream_rng(seed: int, stream: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[stream])
 
 
 @dataclass
@@ -59,41 +69,49 @@ class SyncRunConfig:
 
 
 @dataclass
-class SyncState:
-    """Per-node quintuple, stacked: dual z, primal theta, running average,
-    plus the auxiliary-observation permutation."""
+class GossipState:
+    """Per-node state, stacked: dual z, primal theta, running average, the
+    auxiliary-observation permutation, and the policy's activation
+    probabilities with the local time estimates they drive."""
 
     z: np.ndarray          # (n, ...) dual accumulators (gradient sums)
     theta: np.ndarray      # (n, ...) primals
     theta_bar: np.ndarray  # (n, ...) running averages
     y_idx: np.ndarray      # (n,) index of each node's auxiliary observation
+    p: np.ndarray          # (n,) activation probabilities
+    m: np.ndarray          # (n,) local time estimates (async policy)
 
     @classmethod
-    def initial(cls, n: int, param_shape: tuple[int, ...]) -> "SyncState":
+    def initial(cls, n: int, param_shape: tuple[int, ...],
+                p: np.ndarray) -> "GossipState":
         shape = (n,) + param_shape
         return cls(z=np.zeros(shape), theta=np.zeros(shape),
-                   theta_bar=np.zeros(shape), y_idx=np.arange(n))
+                   theta_bar=np.zeros(shape), y_idx=np.arange(n), p=p,
+                   m=np.zeros(n))
 
 
-def param_shape(loss: PairwiseLoss, data: Dataset) -> tuple[int, ...]:
-    return (data.dim,) if loss.kind == "auc_logistic" else (data.dim, data.dim)
-
-
-def sync_step(state: SyncState, g: Graph, t: int, cfg: SyncRunConfig,
-              rng_edge: np.random.Generator,
-              rng_baseline: np.random.Generator | None = None) -> np.ndarray:
-    """One synchronous iteration, in place; returns the applied directions d_k.
-
-    Order: edge draw, dual averaging, observation swap, then for every node a
-    gradient accumulation (post-swap auxiliary), projection with gamma(t), and
-    running-average update with weight 1/t.
-    """
+def gossip_exchange(state: GossipState, g: Graph,
+                    rng_edge: np.random.Generator) -> tuple[int, int]:
+    """Draw an edge, average its endpoints' duals and swap their auxiliary
+    observations, in place; returns the endpoints."""
     i, j = sample_edge(g, rng_edge)
     avg = 0.5 * (state.z[i] + state.z[j])
     state.z[i] = avg
     state.z[j] = avg
     state.y_idx[[i, j]] = state.y_idx[[j, i]]
+    return i, j
 
+
+def sync_step(state: GossipState, t: int, cfg: SyncRunConfig,
+              rng_edge: np.random.Generator,
+              rng_baseline: np.random.Generator | None = None):
+    """One synchronous iteration, in place.
+
+    After the gossip exchange every node accumulates its gradient (post-swap
+    auxiliary), projects with gamma(t) and updates its running average with
+    weight 1/t.  Returns (applied directions d_k, ALL_NODES, bias index t).
+    """
+    gossip_exchange(state, cfg.graph, rng_edge)
     if cfg.gradient_mode == "gossip":
         partners = state.y_idx
     else:
@@ -103,31 +121,45 @@ def sync_step(state: SyncState, g: Graph, t: int, cfg: SyncRunConfig,
     state.theta = smoothing_many(cfg.reg, -state.z, t, step_gamma(cfg.sched, t))
     state.theta_bar *= 1.0 - 1.0 / t
     state.theta_bar += state.theta / t
-    return d
+    return d, ALL_NODES, t
 
 
-def run_sync(cfg: SyncRunConfig) -> list[TraceRecord]:
-    """Execute T synchronous steps, recording a TraceRecord at t = 0, at every
-    checkpoint-stride multiple, and at t = T."""
-    seq = np.random.SeedSequence(cfg.seed)
-    children = seq.spawn(2)
-    rng_edge = np.random.default_rng(children[EDGE_STREAM])
-    rng_baseline = np.random.default_rng(children[BASELINE_STREAM])
+def run_gossip(cfg: SyncRunConfig, step, p: np.ndarray,
+               local_clocks: bool = False) -> list[TraceRecord]:
+    """Execute T steps of a policy, recording a TraceRecord at t = 0, at every
+    checkpoint-stride multiple, and at t = T.
 
-    state = SyncState.initial(cfg.data.n, param_shape(cfg.loss, cfg.data))
-    records = [make_record(0, state.theta_bar, state.z, cfg.data, cfg.loss,
-                           cfg.reg, cfg.r_star)]
+    `step(state, t, cfg, rng_edge, rng_baseline)` returns the applied rows,
+    the nodes they belong to and the time index of the bias oracle; `p` are
+    the policy's activation probabilities.  With local_clocks the records
+    carry the m_k summary columns.
+    """
+    rng_edge = stream_rng(cfg.seed, EDGE)
+    rng_baseline = stream_rng(cfg.seed, BASELINE)
+    state = GossipState.initial(cfg.data.n, param_shape(cfg.loss, cfg.data), p)
+
+    def record(t, bias=(math.nan, math.nan)):
+        return make_record(t, state.theta_bar, state.z, cfg.data, cfg.loss,
+                           cfg.reg, cfg.r_star, bias,
+                           m=state.m if local_clocks else None)
+
+    records = [record(0)]
     for t in range(1, cfg.T + 1):
         at_checkpoint = t % cfg.checkpoint_stride == 0 or t == cfg.T
         theta_before = (state.theta.copy()
                         if cfg.record_bias and at_checkpoint else None)
-        d = sync_step(state, cfg.graph, t, cfg, rng_edge, rng_baseline)
+        rows, nodes, t_index = step(state, t, cfg, rng_edge, rng_baseline)
         if at_checkpoint:
             bias = (math.nan, math.nan)
             if cfg.record_bias:
-                bias = bias_sample(theta_before, d, state.z.mean(axis=0),
+                applied = np.zeros_like(state.z)
+                applied[nodes] = rows
+                bias = bias_sample(theta_before, applied, state.z.mean(axis=0),
                                    cfg.data, cfg.loss, cfg.reg, cfg.sched,
-                                   t, cfg.theta_star)
-            records.append(make_record(t, state.theta_bar, state.z, cfg.data,
-                                       cfg.loss, cfg.reg, cfg.r_star, bias))
+                                   t_index, cfg.theta_star)
+            records.append(record(t, bias))
     return records
+
+
+def run_sync(cfg: SyncRunConfig) -> list[TraceRecord]:
+    return run_gossip(cfg, sync_step, np.ones(cfg.data.n))

@@ -12,18 +12,20 @@ import numpy as np
 import pytest
 
 from pairgossip.analysis import BoundInputs, bound_constants
-from pairgossip.async_gossip import AsyncRunConfig, AsyncState, async_step, run_async
-from pairgossip.centralized import (deterministic_gap_bound, run_centralized,
-                                    solve_reference)
+from pairgossip.async_gossip import AsyncRunConfig, async_step, run_async
+from pairgossip.centralized import run_centralized, solve_reference
 from pairgossip.datasets import SyntheticSpec, gen_gaussian_mixture, gen_two_class_gaussians
 from pairgossip.graphs import (Graph, activation_probabilities, complete_graph,
                                cycle_graph, spectral_gap, tensor_with_complete,
                                watts_strogatz_graph)
 from pairgossip.losses import (Dataset, PairwiseLoss, full_objective, loss_grad,
-                               loss_lipschitz, loss_value)
+                               loss_lipschitz, param_shape)
 from pairgossip.regularizers import (Regularizer, StepSchedule, psi_value,
                                      smoothing_op, step_gamma)
-from pairgossip.sync_gossip import EDGE_STREAM, SyncRunConfig, param_shape, run_sync
+from pairgossip.sync_gossip import (DATA, EDGE, GossipState, SyncRunConfig, run_sync,
+                                    stream_rng)
+
+from oracles import deterministic_gap_bound, loss_value
 
 AUC = PairwiseLoss("auc_logistic")
 ZERO = Regularizer("zero")
@@ -260,8 +262,8 @@ def test_criterion_8_async_consistency():
             cfg = AsyncRunConfig(graph=ws10, data=data10, loss=AUC, reg=ZERO,
                                  sched=poly, T=T_m, seed=seed,
                                  checkpoint_stride=T_m, record_bias=False)
-        state = AsyncState.initial_async(10, param_shape(AUC, data10), p)
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[EDGE_STREAM])
+        state = GossipState.initial(10, param_shape(AUC, data10), p)
+        rng = stream_rng(seed, EDGE)
         for t in range(1, T_m + 1):
             async_step(state, t, cfg, rng)
         msum += state.m
@@ -274,12 +276,11 @@ def test_criterion_8_async_consistency():
     cfg = AsyncRunConfig(graph=g7, data=data7, loss=AUC, reg=ZERO, sched=poly,
                          T=200, seed=5, checkpoint_stride=200, record_bias=False)
     p7 = activation_probabilities(g7)
-    state = AsyncState.initial_async(7, param_shape(AUC, data7), p7)
-    rng = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[EDGE_STREAM])
+    state = GossipState.initial(7, param_shape(AUC, data7), p7)
+    rng = stream_rng(5, EDGE)
     weighted = np.zeros_like(state.theta)
     for t in range(1, 201):
-        async_step(state, t, cfg, rng)
-        i, j = state.last_active
+        _, (i, j), _ = async_step(state, t, cfg, rng)
         for k in (i, j):
             weighted[k] += state.theta[k] / p7[k]
     rec_err = max(float(np.max(np.abs(state.theta_bar[k] - weighted[k] / state.m[k])))
@@ -434,8 +435,7 @@ def test_criterion_9_operator_and_gradient_properties():
 def test_criterion_10_metric_learning_run():
     spec = SyntheticSpec(n=200, ambient_dim=40, classes=10, subspace_dim=5,
                          variance_factor=0.25)
-    data = gen_gaussian_mixture(spec, np.random.default_rng(
-        np.random.SeedSequence(3).spawn(4)[2]))
+    data = gen_gaussian_mixture(spec, stream_rng(3, DATA))
     hinge = PairwiseLoss("metric_hinge", b=4.0)
     reg = Regularizer("psd_indicator")
     sched = StepSchedule("poly", c=3.0, alpha=0.25)
@@ -446,8 +446,8 @@ def test_criterion_10_metric_learning_run():
     cfg = AsyncRunConfig(graph=g, data=data, loss=hinge, reg=reg, sched=sched,
                          T=T, seed=0, checkpoint_stride=T // 4, record_bias=False)
     p = activation_probabilities(g)
-    state = AsyncState.initial_async(200, param_shape(hinge, data), p)
-    rng = np.random.default_rng(np.random.SeedSequence(0).spawn(2)[EDGE_STREAM])
+    state = GossipState.initial(200, param_shape(hinge, data), p)
+    rng = stream_rng(0, EDGE)
     from pairgossip.analysis import objective_per_node
     objs = [objective_per_node(state.theta_bar, data, hinge, reg).mean()]
     psd_ok = True

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from pairgossip.async_gossip import AsyncRunConfig, AsyncState, async_step, run_async
+from pairgossip.async_gossip import AsyncRunConfig, async_step, run_async
 from pairgossip.datasets import gen_two_class_gaussians
 from pairgossip.graphs import (activation_probabilities, complete_graph,
-                               sample_edge, watts_strogatz_graph)
-from pairgossip.losses import PairwiseLoss, loss_grad
+                               watts_strogatz_graph)
+from pairgossip.losses import PairwiseLoss, param_shape
 from pairgossip.regularizers import Regularizer, StepSchedule, smoothing_op, step_gamma
-from pairgossip.sync_gossip import EDGE_STREAM, SyncRunConfig, SyncState, param_shape, sync_step
+from pairgossip.sync_gossip import (EDGE, GossipState, SyncRunConfig, stream_rng,
+                                    sync_step)
 
 AUC = PairwiseLoss("auc_logistic")
 ZERO = Regularizer("zero")
@@ -44,12 +45,15 @@ class TestAsyncStep:
         g = complete_graph(9)
         cfg = make_cfg(g, data, T=500)
         p = activation_probabilities(g)
-        state = AsyncState.initial_async(9, param_shape(AUC, data), p)
+        state = GossipState.initial(9, param_shape(AUC, data), p)
         rng = np.random.default_rng(7)
         T = 500
+        activations = np.zeros(9, dtype=np.int64)
         for t in range(1, T + 1):
-            async_step(state, t, cfg, rng)
-        assert state.activations.sum() == 2 * T
+            _, (i, j), _ = async_step(state, t, cfg, rng)
+            assert (min(i, j), max(i, j)) in g.edges
+            activations[[i, j]] += 1
+        assert activations.sum() == 2 * T
 
     def test_m_increment_rule(self):
         data = toy(6)
@@ -58,24 +62,25 @@ class TestAsyncStep:
             pytest.skip("sampled bipartite instance")
         cfg = make_cfg(g, data)
         p = activation_probabilities(g)
-        state = AsyncState.initial_async(6, param_shape(AUC, data), p)
+        state = GossipState.initial(6, param_shape(AUC, data), p)
         rng = np.random.default_rng(8)
+        activations = np.zeros(6, dtype=np.int64)
         for t in range(1, 300):
-            async_step(state, t, cfg, rng)
-        assert np.allclose(state.m, state.activations / p, atol=1e-9)
+            _, nodes, _ = async_step(state, t, cfg, rng)
+            activations[nodes] += 1
+        assert np.allclose(state.m, activations / p, atol=1e-9)
 
     def test_non_activated_nodes_unchanged(self):
         data = toy(8)
         g = complete_graph(8)
         cfg = make_cfg(g, data)
         p = activation_probabilities(g)
-        state = AsyncState.initial_async(8, param_shape(AUC, data), p)
+        state = GossipState.initial(8, param_shape(AUC, data), p)
         rng = np.random.default_rng(9)
         for t in range(1, 30):
             before = state.theta.copy()
             zb = state.z.copy()
-            async_step(state, t, cfg, rng)
-            i, j = state.last_active
+            _, (i, j), _ = async_step(state, t, cfg, rng)
             idle = [k for k in range(8) if k not in (i, j)]
             assert np.array_equal(state.theta[idle], before[idle])
             assert np.array_equal(state.z[idle], zb[idle])
@@ -91,13 +96,12 @@ class TestAsyncStep:
         s_cfg = SyncRunConfig(graph=g, data=data, loss=AUC, reg=ZERO, sched=POLY,
                               T=1, seed=3, checkpoint_stride=1)
         shape = param_shape(AUC, data)
-        a_state = AsyncState.initial_async(5, shape, p)
-        s_state = SyncState.initial(5, shape)
-        rng_a = np.random.default_rng(np.random.SeedSequence(3).spawn(2)[EDGE_STREAM])
-        rng_s = np.random.default_rng(np.random.SeedSequence(3).spawn(2)[EDGE_STREAM])
-        async_step(a_state, 1, a_cfg, rng_a)
-        sync_step(s_state, g, 1, s_cfg, rng_s)
-        i, j = a_state.last_active
+        a_state = GossipState.initial(5, shape, p)
+        s_state = GossipState.initial(5, shape, np.ones(5))
+        rng_a = stream_rng(3, EDGE)
+        rng_s = stream_rng(3, EDGE)
+        _, (i, j), _ = async_step(a_state, 1, a_cfg, rng_a)
+        sync_step(s_state, 1, s_cfg, rng_s)
         for k in (i, j):
             # sync z_k = avg + grad; async z_k = avg + grad / p_k, same grad
             grad_sync = s_state.z[k]  # averaging of zeros is zero
@@ -129,12 +133,11 @@ class TestRunAsync:
         g = complete_graph(7)
         cfg = make_cfg(g, data, seed=5)
         p = activation_probabilities(g)
-        state = AsyncState.initial_async(7, param_shape(AUC, data), p)
-        rng = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[EDGE_STREAM])
+        state = GossipState.initial(7, param_shape(AUC, data), p)
+        rng = stream_rng(5, EDGE)
         weighted = np.zeros_like(state.theta)
         for t in range(1, 201):
-            async_step(state, t, cfg, rng)
-            i, j = state.last_active
+            _, (i, j), _ = async_step(state, t, cfg, rng)
             for k in (i, j):
                 weighted[k] += state.theta[k] / p[k]
         for k in range(7):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from pairgossip.centralized import (deterministic_gap_bound, run_centralized,
-                                    solve_reference)
+from pairgossip.centralized import run_centralized, solve_reference
 from pairgossip.datasets import gen_two_class_gaussians
 from pairgossip.losses import Dataset, PairwiseLoss, full_objective, loss_lipschitz
 from pairgossip.regularizers import Regularizer, StepSchedule, smoothing_op, step_gamma
+
+from oracles import deterministic_gap_bound
 
 AUC = PairwiseLoss("auc_logistic")
 ZERO = Regularizer("zero")

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pairgossip
 from pairgossip import cli, harness
 from pairgossip.datasets import (SyntheticSpec, gen_gaussian_mixture,
                                  load_breast_cancer)
@@ -155,6 +158,18 @@ class TestRunExperiment:
         assert summary["spectral_gap"] == pytest.approx(1 / 7)
         assert "bound_c1" in summary and "bound_c2" in summary
 
+    def test_bipartite_graph_writes_complete_summary(self, tmp_path):
+        path = sync_config(tmp_path, topology={"kind": "cycle", "n": 8},
+                           regularizer={"kind": "squared_l2", "lam": 0.1},
+                           T=20, checkpoint_stride=10)
+        with pytest.warns(UserWarning):  # an even cycle is bipartite
+            out = harness.run_experiment(path, out_dir=tmp_path / "cycle")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["spectral_gap"] is None
+        assert "bipartite" in summary["spectral_gap_reason"]
+        assert "bound_c1" not in summary and "bound_c2" not in summary
+        assert summary["final_obj_mean"] > 0.0
+
     def test_seed_override_changes_output(self, tmp_path):
         path = sync_config(tmp_path)
         out1 = harness.run_experiment(path, out_dir=tmp_path / "a")
@@ -217,8 +232,12 @@ class TestCli:
         assert cli.main(["run-async", "--config", str(path)]) == 2
 
     def test_entrypoint_subprocess(self, tmp_path):
+        # the child imports the same package as this test, installed or not
+        src = str(Path(pairgossip.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
         res = subprocess.run([sys.executable, "-m", "pairgossip.cli",
                               "spectral-gap", "--kind", "complete", "--n", "699"],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=env)
         assert res.returncode == 0
         assert res.stdout.strip() == "1.43266e-03"

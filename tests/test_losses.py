@@ -5,8 +5,10 @@ from pairgossip.datasets import gen_two_class_gaussians
 from pairgossip.losses import (DataPoint, Dataset, PairwiseLoss, auc_score,
                                exact_partial_gradient, full_gradient,
                                full_objective, loss_grad, loss_lipschitz,
-                               loss_value, pair_gradients)
+                               pair_gradients)
 from pairgossip.regularizers import Regularizer
+
+from oracles import loss_value
 
 AUC = PairwiseLoss("auc_logistic")
 HINGE = PairwiseLoss("metric_hinge", b=1.0)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from pairgossip.regularizers import (Regularizer, StepSchedule, lagged_gamma,
-                                     project_psd, prox_psi, psi_value,
-                                     smoothing_many, smoothing_objective,
+from pairgossip.regularizers import (Regularizer, StepSchedule, project_psd,
+                                     prox_psi, psi_value, smoothing_many,
                                      smoothing_op, step_gamma)
+
+from oracles import lagged_gamma, smoothing_objective
 
 VECTOR_KINDS = [Regularizer("zero"), Regularizer("squared_l2", lam=0.7),
                 Regularizer("l1", lam=0.3)]

@@ -3,10 +3,10 @@ import pytest
 
 from pairgossip.datasets import gen_two_class_gaussians
 from pairgossip.graphs import Graph, complete_graph, cycle_graph
-from pairgossip.losses import Dataset, PairwiseLoss, loss_grad
+from pairgossip.losses import Dataset, PairwiseLoss, loss_grad, param_shape
 from pairgossip.regularizers import Regularizer, StepSchedule
-from pairgossip.sync_gossip import (SyncRunConfig, SyncState, param_shape,
-                                    run_sync, sync_step)
+from pairgossip.sync_gossip import (GossipState, SyncRunConfig, run_sync,
+                                    sync_step)
 
 AUC = PairwiseLoss("auc_logistic")
 ZERO = Regularizer("zero")
@@ -50,9 +50,9 @@ class TestSyncStep:
         with pytest.warns(UserWarning):  # a single edge is bipartite
             cfg = SyncRunConfig(graph=g, data=data, loss=AUC, reg=ZERO,
                                 sched=SQRT, T=1, seed=0, checkpoint_stride=1)
-        state = SyncState.initial(2, param_shape(AUC, data))
+        state = GossipState.initial(2, param_shape(AUC, data), np.ones(2))
         rng = np.random.default_rng(3)
-        sync_step(state, g, 1, cfg, rng)
+        sync_step(state, 1, cfg, rng)
         # averaging zeros leaves zeros; the swap hands each node the other's
         # point, so z_k = grad f(0; x_k, x_other)
         g0 = loss_grad(AUC, np.zeros(2), data.point(0), data.point(1))
@@ -75,21 +75,21 @@ class TestSyncStep:
         # mean(z) equals the accumulated mean of applied directions
         data = toy(8)
         cfg = make_cfg(complete_graph(8), data)
-        state = SyncState.initial(8, param_shape(AUC, data))
+        state = GossipState.initial(8, param_shape(AUC, data), np.ones(8))
         rng = np.random.default_rng(11)
         acc = np.zeros(2)
         for t in range(1, 60):
-            d = sync_step(state, cfg.graph, t, cfg, rng)
+            d, _, _ = sync_step(state, t, cfg, rng)
             acc += d.mean(axis=0)
             assert np.allclose(state.z.mean(axis=0), acc, atol=1e-12)
 
     def test_y_multiset_is_permutation(self):
         data = toy(4)
         cfg = make_cfg(complete_graph(4), data, T=100, stride=100)
-        state = SyncState.initial(4, param_shape(AUC, data))
+        state = GossipState.initial(4, param_shape(AUC, data), np.ones(4))
         rng = np.random.default_rng(5)
         for t in range(1, 101):
-            sync_step(state, cfg.graph, t, cfg, rng)
+            sync_step(state, t, cfg, rng)
         assert sorted(state.y_idx) == [0, 1, 2, 3]
 
 
