@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import Dataset, PairwiseLoss, exact_partial_gradient, full_objective
-from .regularizers import (Regularizer, StepSchedule, psi_value, smoothing_op,
-                           step_gamma)
+from .regularizers import Regularizer, StepSchedule, smoothing_op, step_gamma
 
 SYNC_COLUMNS = ("t", "obj_mean", "obj_std", "obj_max", "gap_mean",
                 "bias_term", "bias_term_centered", "dual_disagreement")
@@ -108,12 +107,6 @@ def bias_sample(thetas: np.ndarray, applied: np.ndarray, zbar: np.ndarray,
 def objective_per_node(theta_stack: np.ndarray, data: Dataset, loss: PairwiseLoss,
                        reg: Regularizer) -> np.ndarray:
     """R_n evaluated at each node's parameter."""
-    if loss.kind == "auc_logistic":
-        s = data.features @ theta_stack.T  # (n_data, n_nodes)
-        pos, neg = s[data.labels == 1], s[data.labels == -1]
-        totals = np.logaddexp(0.0, neg[None, :, :] - pos[:, None, :]).sum(axis=(0, 1))
-        vals = totals / data.n ** 2
-        return vals + np.array([psi_value(reg, th) for th in theta_stack])
     return np.array([full_objective(th, data, loss, reg) for th in theta_stack])
 
 

@@ -13,7 +13,8 @@ import numpy as np
 
 from .losses import (Dataset, PairwiseLoss, full_gradient, full_objective,
                      loss_grad, param_shape)
-from .regularizers import Regularizer, StepSchedule, prox_psi, smoothing_op, step_gamma
+from .regularizers import (Regularizer, StepSchedule, prox_psi, psi_value,
+                           smoothing_op, step_gamma)
 
 REFERENCE_MAX_ITER = 1_000_000
 
@@ -95,7 +96,7 @@ def solve_reference(data: Dataset, loss: PairwiseLoss, reg: Regularizer,
             if step < 1e-16:
                 break
         mapping = float(np.linalg.norm(theta - prox_psi(reg, theta - step * full_gradient(theta, data, loss), step))) / step
-        new_obj = full_objective(cand, data, loss, reg)
+        new_obj = fc + psi_value(reg, cand)
         if new_obj > obj:  # restart momentum on non-monotone step
             y = theta.copy()
             momentum = 1.0

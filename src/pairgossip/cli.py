@@ -66,18 +66,15 @@ _COMMAND_ALGOS = {
 
 
 def _cmd_spectral_gap(args) -> int:
-    if args.kind == "file":
-        if not args.path:
-            print("spectral-gap: --path is required for kind=file", file=sys.stderr)
-            return 2
-        g = graphs.read_edgelist(args.path)
-    else:
-        if args.n is None:
-            print("spectral-gap: --n is required", file=sys.stderr)
-            return 2
-        rng = np.random.default_rng(args.seed)
-        ws = (args.k, args.p) if args.kind == "watts_strogatz" else None
-        g = graphs.build_topology(args.kind, args.n, ws_params=ws, rng=rng)
+    if args.kind == "file" and not args.path:
+        print("spectral-gap: --path is required for kind=file", file=sys.stderr)
+        return 2
+    if args.kind != "file" and args.n is None:
+        print("spectral-gap: --n is required", file=sys.stderr)
+        return 2
+    spec = {"kind": args.kind, "n": args.n, "k": args.k, "p": args.p,
+            "path": args.path}
+    g = harness.build_graph(spec, args.seed)
     if args.tensor_k is not None:
         g = graphs.tensor_with_complete(g, args.tensor_k)
     print(f"{graphs.spectral_gap(g):.5e}")

@@ -18,15 +18,16 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, centralized, datasets, graphs
+from . import centralized, datasets, graphs
 from .analysis import BoundInputs, TraceRecord, bound_constants, write_trace
 from .async_gossip import AsyncRunConfig, run_async
-from .losses import Dataset, PairwiseLoss, loss_lipschitz
+from .losses import (Dataset, PairwiseLoss, full_objective, loss_lipschitz,
+                     param_shape)
 from .regularizers import Regularizer, StepSchedule
 from .sync_gossip import (BASELINE, DATA, TOPOLOGY, SyncRunConfig, run_sync,
                           stream_rng)
@@ -60,6 +61,8 @@ class RunConfig:
                                  "zero regularizer (matrix parameter)")
         if self.T < 0 or self.checkpoint_stride < 1:
             raise ValueError("invalid T or checkpoint stride")
+        if self.algorithm.startswith("centralized_") and self.T < 1:
+            raise ValueError(f"{self.algorithm} needs T >= 1, got {self.T}")
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -149,20 +152,15 @@ def _centralized_records(prep: PreparedRun, mode: str) -> list[TraceRecord]:
     trace = centralized.run_centralized(
         mode, prep.data, prep.loss, prep.reg, prep.sched, cfg.T,
         rng=rng, checkpoints=[t for t in marks if t >= 1])
-    records = [TraceRecord(t=0, obj_mean=analysis.objective_per_node(
-        np.zeros((1,) + trace[0].theta_bar.shape), prep.data, prep.loss,
-        prep.reg)[0], obj_std=0.0, obj_max=0.0, gap_mean=math.nan,
-        bias_term=math.nan, bias_term_centered=math.nan, dual_disagreement=0.0)]
-    records[0].obj_max = records[0].obj_mean
-    if prep.r_star is not None:
-        records[0].gap_mean = records[0].obj_mean - prep.r_star
-    for cp in trace:
-        gap = cp.objective - prep.r_star if prep.r_star is not None else math.nan
-        records.append(TraceRecord(t=cp.t, obj_mean=cp.objective, obj_std=0.0,
-                                   obj_max=cp.objective, gap_mean=gap,
-                                   bias_term=math.nan, bias_term_centered=math.nan,
-                                   dual_disagreement=0.0))
-    return records
+    zero = np.zeros(param_shape(prep.loss, prep.data))
+    points = [(0, full_objective(zero, prep.data, prep.loss, prep.reg))]
+    points += [(cp.t, cp.objective) for cp in trace]
+    return [TraceRecord(t=t, obj_mean=obj, obj_std=0.0, obj_max=obj,
+                        gap_mean=(obj - prep.r_star if prep.r_star is not None
+                                  else math.nan),
+                        bias_term=math.nan, bias_term_centered=math.nan,
+                        dual_disagreement=0.0)
+            for t, obj in points]
 
 
 def execute(prep: PreparedRun) -> list[TraceRecord]:
@@ -245,11 +243,10 @@ def compare_baseline(config_path, out_dir=None, seed_override: int | None = None
         raise ValueError("compare-baseline applies to gossip algorithms")
     out = Path(out_dir if out_dir is not None else (cfg.output or "."))
     out.mkdir(parents=True, exist_ok=True)
+    prep = prepare(cfg)
     finals = {}
     for mode in ("gossip", "unbiased_baseline"):
-        cfg.gradient_mode = mode
-        prep = prepare(cfg)
-        records = execute(prep)
+        records = execute(replace(prep, cfg=replace(cfg, gradient_mode=mode)))
         write_trace(records, out / f"trace_{mode}.csv")
         finals[mode] = records[-1].obj_mean
     rel = (abs(finals["gossip"] - finals["unbiased_baseline"])

@@ -117,7 +117,7 @@ def full_objective(theta: np.ndarray, data: Dataset, loss: PairwiseLoss,
     n = data.n
     if loss.kind == "auc_logistic":
         diffs = _auc_pair_scores(theta, data)
-        total = float(np.logaddexp(0.0, diffs).sum())
+        total = float(np.logaddexp(0.0, diffs, out=diffs).sum())
     else:
         g = data.features @ theta @ data.features.T
         sq = np.diag(g)

@@ -8,8 +8,10 @@ which equals prox_{t*gamma_t*psi}(gamma_t * z).  All functions here are pure
 and safe for concurrent use.
 
 Parameters are plain numpy arrays: 1-d for vector models, 2-d (symmetric) for
-matrix models.  Matrix-valued results are re-symmetrized after every
-eigendecomposition so the symmetry invariant holds to floating-point accuracy.
+matrix models.  The prox and smoothing operators also take a stack of
+parameters along leading axes and act on each one.  Matrix-valued results are
+re-symmetrized after every eigendecomposition so the symmetry invariant holds
+to floating-point accuracy.
 Infinite penalty values use math.inf, never arithmetic overflow.
 """
 
@@ -37,7 +39,7 @@ class Regularizer:
 
 
 def _check_shape(reg: Regularizer, theta: np.ndarray) -> None:
-    if reg.kind == "psd_indicator" and theta.ndim != 2:
+    if reg.kind == "psd_indicator" and theta.ndim < 2:
         raise ValueError("psd_indicator applies to symmetric matrix parameters")
 
 
@@ -62,11 +64,12 @@ def psi_value(reg: Regularizer, theta: np.ndarray) -> float:
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
-    """Eigen-project the symmetrization of m onto the PSD cone."""
-    sym = 0.5 * (m + m.T)
+    """Eigen-project the symmetrization of m (or of each matrix in a stack)
+    onto the PSD cone."""
+    sym = 0.5 * (m + m.swapaxes(-1, -2))
     w, v = np.linalg.eigh(sym)
-    out = (v * np.maximum(w, 0.0)) @ v.T
-    return 0.5 * (out + out.T)
+    out = (v * np.maximum(w, 0.0)[..., None, :]) @ v.swapaxes(-1, -2)
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def prox_psi(reg: Regularizer, v: np.ndarray, scale: float) -> np.ndarray:
@@ -94,21 +97,6 @@ def smoothing_op(reg: Regularizer, z: np.ndarray, t: float, gamma_t: float) -> n
     if gamma_t <= 0:
         raise ValueError(f"gamma must be positive, got {gamma_t}")
     return prox_psi(reg, gamma_t * z, t * gamma_t)
-
-
-def smoothing_many(reg: Regularizer, z_stack: np.ndarray, t: float,
-                   gamma_t: float) -> np.ndarray:
-    """smoothing_op applied rowwise to a stack of dual accumulators."""
-    if t < 1 or gamma_t <= 0:
-        raise ValueError("need t >= 1 and gamma > 0")
-    if reg.kind == "zero":
-        return gamma_t * z_stack
-    if reg.kind == "squared_l2":
-        return gamma_t * z_stack / (1.0 + 2.0 * t * gamma_t * reg.lam)
-    if reg.kind == "l1":
-        v = gamma_t * z_stack
-        return np.sign(v) * np.maximum(np.abs(v) - t * gamma_t * reg.lam, 0.0)
-    return np.stack([project_psd(gamma_t * z) for z in z_stack])
 
 
 @dataclass(frozen=True)

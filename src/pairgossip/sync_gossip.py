@@ -22,7 +22,7 @@ import numpy as np
 from .analysis import TraceRecord, bias_sample, make_record
 from .graphs import Graph, sample_edge
 from .losses import Dataset, PairwiseLoss, pair_gradients, param_shape
-from .regularizers import Regularizer, StepSchedule, smoothing_many, step_gamma
+from .regularizers import Regularizer, StepSchedule, smoothing_op, step_gamma
 
 GRADIENT_MODES = ("gossip", "unbiased_baseline")
 
@@ -118,7 +118,7 @@ def sync_step(state: GossipState, t: int, cfg: SyncRunConfig,
         partners = rng_baseline.integers(cfg.data.n, size=cfg.data.n)
     d = pair_gradients(cfg.loss, state.theta, cfg.data, partners)
     state.z += d
-    state.theta = smoothing_many(cfg.reg, -state.z, t, step_gamma(cfg.sched, t))
+    state.theta = smoothing_op(cfg.reg, -state.z, t, step_gamma(cfg.sched, t))
     state.theta_bar *= 1.0 - 1.0 / t
     state.theta_bar += state.theta / t
     return d, ALL_NODES, t

@@ -11,6 +11,7 @@ import pairgossip
 from pairgossip import cli, harness
 from pairgossip.datasets import (SyntheticSpec, gen_gaussian_mixture,
                                  load_breast_cancer)
+from pairgossip.graphs import spectral_gap
 
 
 def write_uci_file(path, rows):
@@ -144,6 +145,12 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             harness.RunConfig.from_json(path)
 
+    def test_centralized_needs_a_step(self, tmp_path):
+        for algo in ("centralized_det", "centralized_sto"):
+            path = sync_config(tmp_path, algorithm=algo, topology=None, T=0)
+            with pytest.raises(ValueError, match="T >= 1"):
+                harness.RunConfig.from_json(path)
+
 
 class TestRunExperiment:
     def test_outputs_and_reproducibility(self, tmp_path):
@@ -186,9 +193,14 @@ class TestRunExperiment:
             summary = json.loads((out / "summary.json").read_text())
             assert summary["final_gap_mean"] >= -1e-8
 
-    def test_compare_baseline(self, tmp_path):
+    def test_compare_baseline(self, tmp_path, monkeypatch):
+        solves = []
+        solve = harness.centralized.solve_reference
+        monkeypatch.setattr(harness.centralized, "solve_reference",
+                            lambda *a, **kw: solves.append(1) or solve(*a, **kw))
         path = sync_config(tmp_path)
         out = harness.compare_baseline(path, out_dir=tmp_path / "cmp")
+        assert len(solves) == 1
         doc = json.loads((out / "compare.json").read_text())
         assert doc["final_obj_relative_difference"] >= 0.0
         assert (out / "trace_gossip.csv").exists()
@@ -214,6 +226,13 @@ class TestCli:
         out = capsys.readouterr().out.strip()
         assert float(out) == pytest.approx(
             (1 - np.cos(2 * np.pi / 9)) / 9 / 3, rel=1e-5)
+
+    def test_spectral_gap_watts_strogatz_matches_run_graph(self, capsys):
+        assert cli.main(["spectral-gap", "--kind", "watts_strogatz", "--n", "30",
+                         "--k", "4", "--p", "0.3", "--seed", "5"]) == 0
+        out = capsys.readouterr().out.strip()
+        spec = {"kind": "watts_strogatz", "n": 30, "k": 4, "p": 0.3}
+        assert out == f"{spectral_gap(harness.build_graph(spec, 5)):.5e}"
 
     def test_gen_synthetic_then_run(self, tmp_path, capsys):
         npz = tmp_path / "mix.npz"

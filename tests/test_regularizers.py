@@ -5,8 +5,8 @@ import pytest
 from scipy.optimize import minimize
 
 from pairgossip.regularizers import (Regularizer, StepSchedule, project_psd,
-                                     prox_psi, psi_value, smoothing_many,
-                                     smoothing_op, step_gamma)
+                                     prox_psi, psi_value, smoothing_op,
+                                     step_gamma)
 
 from oracles import lagged_gamma, smoothing_objective
 
@@ -127,11 +127,11 @@ class TestSmoothingOp:
         with pytest.raises(ValueError):
             prox_psi(Regularizer("zero"), np.array([np.inf]), 1.0)
 
-    def test_smoothing_many_matches_rowwise(self):
+    def test_stack_matches_rowwise(self):
         rng = np.random.default_rng(5)
         for reg in ALL_KINDS:
             stack = np.stack([random_param(reg, rng) for _ in range(6)])
-            many = smoothing_many(reg, stack, 4, 0.2)
+            many = smoothing_op(reg, stack, 4, 0.2)
             for k in range(6):
                 assert np.allclose(many[k], smoothing_op(reg, stack[k], 4, 0.2),
                                    atol=1e-12)

@@ -70,6 +70,14 @@ class TestSyncStep:
             assert r.dual_disagreement == pytest.approx(0.0, abs=1e-12)
             assert r.obj_std == pytest.approx(0.0, abs=1e-12)
 
+    def test_non_finite_dual_raises(self):
+        data = toy(6)
+        cfg = make_cfg(complete_graph(6), data)
+        state = GossipState.initial(6, param_shape(AUC, data), np.ones(6))
+        state.z[2, 0] = np.nan
+        with pytest.raises(ValueError):
+            sync_step(state, 1, cfg, np.random.default_rng(0))
+
     def test_mean_z_conservation(self):
         # pairwise averaging preserves the dual mean: after each step,
         # mean(z) equals the accumulated mean of applied directions
