@@ -7,7 +7,6 @@ results exact at desk scale (node counts up to a configurable cap).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,33 +19,58 @@ DENSE_EIG_CAP = 2000
 WATTS_STROGATZ_MAX_RETRIES = 100
 
 
-@dataclass(frozen=True)
+def _component_count(n: int, edges: np.ndarray) -> int:
+    """Connected components, by min-label propagation with pointer jumping."""
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, edges[:, 0], label[edges[:, 1]])
+        np.minimum.at(new, edges[:, 1], label[edges[:, 0]])
+        new = new[new]
+        if np.array_equal(new, label):
+            return int(np.count_nonzero(label == np.arange(n)))
+        label = new
+
+
+# eq=False: the generated == and hash cannot compare an array field.
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph on nodes 0..n-1 with a canonical edge list."""
+    """Undirected simple graph on nodes 0..n-1; edges is a read-only (m, 2)
+    int64 array of rows i < j (a tuple of pairs is converted)."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"node count must be positive, got {self.n}")
-        seen = set()
-        for (i, j) in self.edges:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if i > j:
-                raise ValueError(f"edge ({i}, {j}) not canonically ordered")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
+        # len, not -1: rows that are not pairs fail to reshape
+        e = np.array(self.edges, dtype=np.int64).reshape(len(self.edges), 2)
+        i, j = e[:, 0], e[:, 1]
+        bad = np.flatnonzero(((e < 0) | (e >= self.n)).any(axis=1))
+        if bad.size:
+            raise ValueError(f"edge ({i[bad[0]]}, {j[bad[0]]}) out of range for n={self.n}")
+        bad = np.flatnonzero(i == j)
+        if bad.size:
+            raise ValueError(f"self-loop at node {i[bad[0]]}")
+        bad = np.flatnonzero(i > j)
+        if bad.size:
+            raise ValueError(f"edge ({i[bad[0]]}, {j[bad[0]]}) not canonically ordered")
+        # Sort-and-compare; np.unique is ~10x slower on the complete graph.
+        key = np.sort(i * self.n + j)
+        dup = key[1:][key[1:] == key[:-1]]
+        if dup.size:
+            raise ValueError(f"duplicate edge ({dup[0] // self.n}, {dup[0] % self.n})")
+        e.setflags(write=False)
+        object.__setattr__(self, "edges", e)
 
     @classmethod
     def from_edges(cls, n, edges):
-        """Build a graph, canonicalizing (and deduplicating) the edge list."""
-        canon = sorted({(min(i, j), max(i, j)) for (i, j) in edges})
-        return cls(n=n, edges=tuple(canon))
+        """Build a graph, canonicalizing (and deduplicating) any iterable of pairs."""
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        e = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        return cls(n=n, edges=np.unique(np.sort(e, axis=1), axis=0))
 
     @property
     def num_edges(self) -> int:
@@ -54,25 +78,14 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=np.int64)
-        for (i, j) in self.edges:
-            d[i] += 1
-            d[j] += 1
+        d = np.bincount(self.edges.ravel(), minlength=self.n)
         d.setflags(write=False)
         return d
 
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for (i, j) in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return tuple(tuple(sorted(a)) for a in adj)
-
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for (i, j) in self.edges:
-            a[i, j] = a[j, i] = 1.0
+        i, j = self.edges.T
+        a[i, j] = a[j, i] = 1.0
         return a
 
     def laplacian(self) -> np.ndarray:
@@ -80,42 +93,20 @@ class Graph:
         return np.diag(self.degrees.astype(float)) - self.adjacency()
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in self.neighbors[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.n
+        return _component_count(self.n, self.edges) == 1
 
     def is_bipartite(self) -> bool:
-        color = [-1] * self.n
-        for start in range(self.n):
-            if color[start] != -1:
-                continue
-            color[start] = 0
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for v in self.neighbors[u]:
-                    if color[v] == -1:
-                        color[v] = 1 - color[u]
-                        queue.append(v)
-                    elif color[v] == color[u]:
-                        return False
-        return True
+        # A component is bipartite iff it splits into two components of the
+        # bipartite double cover (edges (i, j+n) and (i+n, j) on 2n nodes).
+        cover = np.concatenate([self.edges + [0, self.n], self.edges + [self.n, 0]])
+        return _component_count(2 * self.n, cover) == 2 * _component_count(self.n, self.edges)
 
     def is_complete(self) -> bool:
         return self.num_edges == self.n * (self.n - 1) // 2
 
 
 def complete_graph(n: int) -> Graph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Graph(n=n, edges=tuple(edges))
+    return Graph(n=n, edges=np.column_stack(np.triu_indices(n, 1)))
 
 
 def cycle_graph(n: int) -> Graph:
@@ -218,20 +209,16 @@ def tensor_with_complete(g: Graph, k: int) -> Graph:
     if g.is_complete():
         raise ValueError("virtual-node expansion is undefined for complete graphs "
                          "(the gap-division identity requires a non-complete base)")
-    edges = []
-    for (i, j) in g.edges:
-        for a in range(k):
-            for b in range(k):
-                u, v = i * k + a, j * k + b
-                edges.append((min(u, v), max(u, v)))
-    return Graph.from_edges(g.n * k, edges)
+    virt = g.edges[:, :, None] * k + np.arange(k)  # (m, 2, k): copies of each endpoint
+    u, v = np.broadcast_arrays(virt[:, 0, :, None], virt[:, 1, None, :])
+    return Graph.from_edges(g.n * k, np.column_stack([u.ravel(), v.ravel()]))
 
 
 def sample_edge(g: Graph, rng: np.random.Generator) -> tuple[int, int]:
     """Uniform edge draw; both orientations of the returned pair equally likely."""
     if g.num_edges < 1:
         raise ValueError("graph has no edges")
-    i, j = g.edges[rng.integers(g.num_edges)]
+    i, j = g.edges[rng.integers(g.num_edges)].tolist()
     if rng.random() < 0.5:
         return j, i
     return i, j
@@ -249,7 +236,7 @@ def write_edgelist(g: Graph, path) -> None:
     """Text export: first line "n m", then one "i j" line per edge (0-based)."""
     with open(path, "w") as fh:
         fh.write(f"{g.n} {g.num_edges}\n")
-        for (i, j) in g.edges:
+        for i, j in g.edges.tolist():
             fh.write(f"{i} {j}\n")
 
 

@@ -106,21 +106,6 @@ def build_dataset(spec: dict, seed: int) -> Dataset:
     raise ValueError(f"unknown dataset kind: {kind!r}")
 
 
-def build_loss(spec: dict) -> PairwiseLoss:
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    return PairwiseLoss(kind=spec["kind"], **params)
-
-
-def build_regularizer(spec: dict) -> Regularizer:
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    return Regularizer(kind=spec["kind"], **params)
-
-
-def build_schedule(spec: dict) -> StepSchedule:
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    return StepSchedule(kind=spec["kind"], **params)
-
-
 @dataclass
 class PreparedRun:
     cfg: RunConfig
@@ -135,9 +120,9 @@ class PreparedRun:
 
 def prepare(cfg: RunConfig) -> PreparedRun:
     data = build_dataset(cfg.dataset, cfg.seed)
-    loss = build_loss(cfg.loss)
-    reg = build_regularizer(cfg.regularizer)
-    sched = build_schedule(cfg.schedule)
+    loss = PairwiseLoss(**cfg.loss)
+    reg = Regularizer(**cfg.regularizer)
+    sched = StepSchedule(**cfg.schedule)
     graph = build_graph(cfg.topology, cfg.seed) if cfg.topology is not None else None
     theta_star = r_star = None
     if cfg.compute_reference:

@@ -110,6 +110,18 @@ def _auc_pair_scores(theta: np.ndarray, data: Dataset):
     return neg[None, :] - pos[:, None]
 
 
+def _pair_hinge(theta: np.ndarray, data: Dataset, loss: PairwiseLoss) -> np.ndarray:
+    """Hinge losses max(0, 1 - l_i l_j (b - d_theta(x_i, x_j))) of all ordered pairs."""
+    g = data.features @ theta @ data.features.T
+    sq = np.diag(g)
+    h = sq[:, None] + sq[None, :] - g - g.T - loss.b
+    # 1 + l_i l_j (d - b) in place in one n x n buffer; the +-1 label flips are exact
+    h *= data.labels[:, None]
+    h *= data.labels
+    h += 1.0
+    return np.maximum(0.0, h, out=h)
+
+
 def full_objective(theta: np.ndarray, data: Dataset, loss: PairwiseLoss,
                    reg: Regularizer) -> float:
     """(1/n^2) sum over all ordered pairs of the loss, plus the penalty."""
@@ -119,11 +131,7 @@ def full_objective(theta: np.ndarray, data: Dataset, loss: PairwiseLoss,
         diffs = _auc_pair_scores(theta, data)
         total = float(np.logaddexp(0.0, diffs, out=diffs).sum())
     else:
-        g = data.features @ theta @ data.features.T
-        sq = np.diag(g)
-        dist = sq[:, None] + sq[None, :] - g - g.T
-        ll = np.outer(data.labels, data.labels)
-        total = float(np.maximum(0.0, 1.0 - ll * (loss.b - dist)).sum())
+        total = float(_pair_hinge(theta, data, loss).sum())
     return total / n ** 2 + psi_value(reg, theta)
 
 
@@ -139,12 +147,7 @@ def full_gradient(theta: np.ndarray, data: Dataset, loss: PairwiseLoss) -> np.nd
         # sum_ij sigma_ij (x_j - x_i)
         grad = sig.sum(axis=0) @ xn - sig.sum(axis=1) @ xp
         return grad / n ** 2
-    g = x @ theta @ x.T
-    sq = np.diag(g)
-    dist = sq[:, None] + sq[None, :] - g - g.T
-    ll = np.outer(data.labels, data.labels)
-    active = (1.0 - ll * (loss.b - dist)) > 0.0
-    w = np.where(active, ll, 0).astype(float)
+    w = np.where(_pair_hinge(theta, data, loss) > 0.0, np.outer(data.labels, data.labels), 0.0)
     # sum_ij w_ij (x_i - x_j)(x_i - x_j)^T, expanded into three Gram pieces
     row = w.sum(axis=1)
     col = w.sum(axis=0)

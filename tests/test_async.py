@@ -49,9 +49,10 @@ class TestAsyncStep:
         rng = np.random.default_rng(7)
         T = 500
         activations = np.zeros(9, dtype=np.int64)
+        edges = g.edges.tolist()
         for t in range(1, T + 1):
             _, (i, j), _ = async_step(state, t, cfg, rng)
-            assert (min(i, j), max(i, j)) in g.edges
+            assert [min(i, j), max(i, j)] in edges
             activations[[i, j]] += 1
         assert activations.sum() == 2 * T
 

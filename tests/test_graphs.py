@@ -38,15 +38,43 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             Graph(n=3, edges=((0, 1), (0, 1)))
 
+    def test_rejects_rows_that_are_not_pairs(self):
+        with pytest.raises(ValueError):
+            Graph(n=5, edges=((0, 1, 2), (3, 4, 0)))
+
     def test_from_edges_canonicalizes(self):
         g = Graph.from_edges(3, [(1, 0), (0, 1), (2, 1)])
-        assert g.edges == ((0, 1), (1, 2))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+    def test_edges_are_read_only(self):
+        g = cycle_graph(5)
+        with pytest.raises(ValueError):
+            g.edges[0, 1] = 3
+        with pytest.raises(ValueError):
+            g.degrees[0] = 0
 
     def test_degree_sum_is_twice_edges(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             g = random_connected_graph(int(rng.integers(4, 12)), rng)
             assert g.degrees.sum() == 2 * g.num_edges
+
+
+class TestComponents:
+    def test_connected_and_bipartite_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(12)
+        for _ in range(400):
+            n = int(rng.integers(1, 14))
+            density = rng.uniform(0.0, 0.6)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < density]
+            g = Graph.from_edges(n, pairs)
+            ref = nx.Graph()
+            ref.add_nodes_from(range(n))
+            ref.add_edges_from(pairs)
+            assert g.is_connected() == nx.is_connected(ref)
+            assert g.is_bipartite() == nx.is_bipartite(ref)
 
 
 class TestTopologies:
@@ -171,7 +199,7 @@ class TestEdgeSampling:
         g = complete_graph(3)
         rng = np.random.default_rng(42)
         draws = 300_000
-        counts = {e: 0 for e in g.edges}
+        counts = {e: 0 for e in map(tuple, g.edges.tolist())}
         orient = 0
         for _ in range(draws):
             i, j = sample_edge(g, rng)
@@ -187,7 +215,7 @@ class TestEdgeSampling:
         g = cycle_graph(4)
         rng = np.random.default_rng(8)
         draws = 200_000
-        counts = {e: 0 for e in g.edges}
+        counts = {e: 0 for e in map(tuple, g.edges.tolist())}
         for _ in range(draws):
             i, j = sample_edge(g, rng)
             counts[(min(i, j), max(i, j))] += 1
@@ -230,7 +258,7 @@ class TestEdgelistIO:
         path = tmp_path / "g.txt"
         write_edgelist(g, path)
         back = read_edgelist(path)
-        assert back.n == g.n and back.edges == g.edges
+        assert back.n == g.n and np.array_equal(back.edges, g.edges)
 
     def test_header_format(self, tmp_path):
         g = cycle_graph(3)
