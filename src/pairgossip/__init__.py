@@ -9,7 +9,8 @@ centralized baselines.
 from .analysis import (BoundInputs, TraceRecord, bound_constants,
                        dual_disagreement, read_trace, write_trace)
 from .async_gossip import AsyncRunConfig, run_async
-from .centralized import run_centralized, solve_reference
+from .centralized import (deterministic_step, run_centralized, solve_reference,
+                          stochastic_step)
 from .datasets import (SyntheticSpec, gen_gaussian_mixture,
                        gen_two_class_gaussians, load_breast_cancer)
 from .graphs import (Graph, activation_probabilities, build_topology,
@@ -21,22 +22,22 @@ from .losses import (Dataset, PairwiseLoss, auc_score, exact_partial_gradient,
                      full_gradient, full_objective, loss_grad, loss_lipschitz)
 from .regularizers import (Regularizer, StepSchedule, prox_psi, psi_value,
                            smoothing_op, step_gamma)
-from .sync_gossip import SyncRunConfig, run_sync
+from .sync_gossip import EngineConfig, SyncRunConfig, run_sync
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsyncRunConfig", "BoundInputs", "Dataset", "Graph", "PairwiseLoss",
-    "Regularizer", "RunConfig", "StepSchedule", "SyncRunConfig",
-    "SyntheticSpec", "TraceRecord", "activation_probabilities",
+    "AsyncRunConfig", "BoundInputs", "Dataset", "EngineConfig", "Graph",
+    "PairwiseLoss", "Regularizer", "RunConfig", "StepSchedule",
+    "SyncRunConfig", "SyntheticSpec", "TraceRecord", "activation_probabilities",
     "auc_score", "bound_constants", "build_topology", "compare_baseline",
-    "complete_graph", "cycle_graph", "dual_disagreement",
+    "complete_graph", "cycle_graph", "deterministic_step", "dual_disagreement",
     "exact_partial_gradient", "full_gradient", "full_objective",
     "gen_gaussian_mixture", "gen_two_class_gaussians",
     "load_breast_cancer", "loss_grad", "loss_lipschitz", "prox_psi",
     "psi_value", "read_edgelist", "read_trace", "run_async",
     "run_centralized", "run_experiment", "run_many", "run_sync",
     "sample_edge", "solve_reference", "spectral_gap", "step_gamma",
-    "tensor_with_complete", "watts_strogatz_graph", "write_edgelist",
-    "write_trace",
+    "stochastic_step", "tensor_with_complete", "watts_strogatz_graph",
+    "write_edgelist", "write_trace",
 ]

@@ -1,65 +1,47 @@
 """Centralized dual averaging baselines and a high-precision reference solver.
 
-The dual accumulator z collects gradients; the primal iterate is obtained by
-applying the smoothing operator to -z (the update descends along the
-accumulated gradient direction).
+The baselines are step policies of the gossip engine on one row with no
+graph, taking `dual_average` steps along the exact full gradient
+(deterministic) or along one uniformly drawn ordered pair (i, j), i = j
+included, from the engine's BASELINE stream (stochastic).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .analysis import TraceRecord
 from .losses import (Dataset, PairwiseLoss, full_gradient, full_objective,
                      loss_grad, param_shape)
-from .regularizers import (Regularizer, StepSchedule, prox_psi, psi_value,
-                           smoothing_op, step_gamma)
+from .regularizers import Regularizer, prox_psi, psi_value
+from .sync_gossip import ALL_NODES, EngineConfig, GossipState, dual_average, run_gossip
 
 REFERENCE_MAX_ITER = 1_000_000
 
 
-@dataclass
-class CentralCheckpoint:
-    t: int
-    theta_bar: np.ndarray
-    objective: float
+def deterministic_step(state: GossipState, t: int, cfg: EngineConfig,
+                       rng_edge: np.random.Generator,
+                       rng_baseline: np.random.Generator):
+    g = full_gradient(state.theta[0], cfg.data, cfg.loss)
+    dual_average(state, g, t, cfg)
+    return g, ALL_NODES, t
 
 
-def run_centralized(mode: str, data: Dataset, loss: PairwiseLoss, reg: Regularizer,
-                    sched: StepSchedule, T: int, rng: np.random.Generator | None = None,
-                    checkpoints=None) -> list[CentralCheckpoint]:
-    """Run T dual-averaging steps, recording (t, theta_bar, R_n(theta_bar)).
+def stochastic_step(state: GossipState, t: int, cfg: EngineConfig,
+                    rng_edge: np.random.Generator,
+                    rng_baseline: np.random.Generator):
+    i, j = rng_baseline.integers(cfg.data.n, size=2)
+    g = loss_grad(cfg.loss, state.theta[0], cfg.data.point(i), cfg.data.point(j))
+    dual_average(state, g, t, cfg)
+    return g, ALL_NODES, t
 
-    deterministic mode uses the exact full gradient; stochastic mode one
-    uniformly drawn ordered pair (i, j) per step, i = j included.
-    """
-    if mode not in ("deterministic", "stochastic"):
-        raise ValueError(f"unknown mode: {mode!r}")
-    if T < 1:
-        raise ValueError(f"need T >= 1, got {T}")
-    if mode == "stochastic" and rng is None:
-        raise ValueError("stochastic mode needs a seeded rng")
-    marks = set(checkpoints) if checkpoints is not None else {T}
 
-    shape = param_shape(loss, data)
-    z = np.zeros(shape)
-    theta = np.zeros(shape)
-    theta_bar = np.zeros(shape)
-    trace = []
-    for t in range(1, T + 1):
-        if mode == "deterministic":
-            g = full_gradient(theta, data, loss)
-        else:
-            i, j = rng.integers(data.n, size=2)
-            g = loss_grad(loss, theta, data.point(i), data.point(j))
-        z = z + g
-        theta = smoothing_op(reg, -z, t, step_gamma(sched, t))
-        theta_bar = (1.0 - 1.0 / t) * theta_bar + theta / t
-        if t in marks:
-            trace.append(CentralCheckpoint(t, theta_bar.copy(),
-                                           full_objective(theta_bar, data, loss, reg)))
-    return trace
+def run_centralized(cfg: EngineConfig, step) -> list[TraceRecord]:
+    """Run T steps of `deterministic_step` or `stochastic_step` on one row;
+    its records carry no bias terms."""
+    if cfg.record_bias:
+        raise ValueError("the bias oracle is per node; set record_bias=False")
+    return run_gossip(cfg, step, np.ones(1))
 
 
 def solve_reference(data: Dataset, loss: PairwiseLoss, reg: Regularizer,

@@ -14,7 +14,6 @@ parallelism used by run_many.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,13 +25,13 @@ import numpy as np
 from . import centralized, datasets, graphs
 from .analysis import BoundInputs, TraceRecord, bound_constants, write_trace
 from .async_gossip import AsyncRunConfig, run_async
-from .losses import (Dataset, PairwiseLoss, full_objective, loss_lipschitz,
-                     param_shape)
+from .losses import Dataset, PairwiseLoss, loss_lipschitz
 from .regularizers import Regularizer, StepSchedule
-from .sync_gossip import (BASELINE, DATA, TOPOLOGY, SyncRunConfig, run_sync,
-                          stream_rng)
+from .sync_gossip import (DATA, GRADIENT_MODES, TOPOLOGY, EngineConfig,
+                          SyncRunConfig, run_sync, stream_rng)
 
-ALGORITHMS = ("centralized_det", "centralized_sto", "sync", "async")
+GOSSIP_ALGORITHMS = ("sync", "async")
+ALGORITHMS = ("centralized_det", "centralized_sto") + GOSSIP_ALGORITHMS
 
 
 @dataclass
@@ -53,8 +52,11 @@ class RunConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm: {self.algorithm!r}")
-        if self.algorithm in ("sync", "async") and self.topology is None:
-            raise ValueError(f"{self.algorithm} requires a topology spec")
+        if (self.algorithm in GOSSIP_ALGORITHMS) != (self.topology is not None):
+            raise ValueError("sync and async need a topology spec, centralized runs "
+                             f"take none; {self.algorithm} got {self.topology!r}")
+        if self.gradient_mode not in GRADIENT_MODES:
+            raise ValueError(f"unknown gradient mode: {self.gradient_mode!r}")
         if self.loss.get("kind") == "metric_hinge":
             if self.regularizer.get("kind") not in ("psd_indicator", "zero"):
                 raise ValueError("metric_hinge pairs with the psd_indicator or "
@@ -124,44 +126,28 @@ def prepare(cfg: RunConfig) -> PreparedRun:
     reg = Regularizer(**cfg.regularizer)
     sched = StepSchedule(**cfg.schedule)
     graph = build_graph(cfg.topology, cfg.seed) if cfg.topology is not None else None
+    if graph is not None and graph.n != data.n:
+        raise ValueError(f"dataset size {data.n} != node count {graph.n}")
     theta_star = r_star = None
     if cfg.compute_reference:
         theta_star, r_star = centralized.solve_reference(data, loss, reg)
     return PreparedRun(cfg, data, loss, reg, sched, graph, theta_star, r_star)
 
 
-def _centralized_records(prep: PreparedRun, mode: str) -> list[TraceRecord]:
-    cfg = prep.cfg
-    marks = sorted({t for t in range(0, cfg.T + 1, cfg.checkpoint_stride)} | {cfg.T})
-    rng = stream_rng(cfg.seed, BASELINE)
-    trace = centralized.run_centralized(
-        mode, prep.data, prep.loss, prep.reg, prep.sched, cfg.T,
-        rng=rng, checkpoints=[t for t in marks if t >= 1])
-    zero = np.zeros(param_shape(prep.loss, prep.data))
-    points = [(0, full_objective(zero, prep.data, prep.loss, prep.reg))]
-    points += [(cp.t, cp.objective) for cp in trace]
-    return [TraceRecord(t=t, obj_mean=obj, obj_std=0.0, obj_max=obj,
-                        gap_mean=(obj - prep.r_star if prep.r_star is not None
-                                  else math.nan),
-                        bias_term=math.nan, bias_term_centered=math.nan,
-                        dual_disagreement=0.0)
-            for t, obj in points]
-
-
 def execute(prep: PreparedRun) -> list[TraceRecord]:
     cfg = prep.cfg
-    if cfg.algorithm == "centralized_det":
-        return _centralized_records(prep, "deterministic")
-    if cfg.algorithm == "centralized_sto":
-        return _centralized_records(prep, "stochastic")
-    run_cls, runner = ((SyncRunConfig, run_sync) if cfg.algorithm == "sync"
-                       else (AsyncRunConfig, run_async))
-    run_cfg = run_cls(graph=prep.graph, data=prep.data, loss=prep.loss,
-                      reg=prep.reg, sched=prep.sched, T=cfg.T, seed=cfg.seed,
-                      checkpoint_stride=cfg.checkpoint_stride,
-                      gradient_mode=cfg.gradient_mode,
-                      theta_star=prep.theta_star, r_star=prep.r_star)
-    return runner(run_cfg)
+    shared = dict(data=prep.data, loss=prep.loss, reg=prep.reg, sched=prep.sched,
+                  T=cfg.T, seed=cfg.seed, checkpoint_stride=cfg.checkpoint_stride,
+                  theta_star=prep.theta_star, r_star=prep.r_star)
+    if cfg.algorithm in GOSSIP_ALGORITHMS:
+        run_cls, runner = ((SyncRunConfig, run_sync) if cfg.algorithm == "sync"
+                           else (AsyncRunConfig, run_async))
+        return runner(run_cls(graph=prep.graph, gradient_mode=cfg.gradient_mode,
+                              **shared))
+    step = (centralized.deterministic_step if cfg.algorithm == "centralized_det"
+            else centralized.stochastic_step)
+    return centralized.run_centralized(EngineConfig(record_bias=False, **shared),
+                                       step)
 
 
 def summarize(prep: PreparedRun, records: list[TraceRecord],
@@ -224,7 +210,7 @@ def compare_baseline(config_path, out_dir=None, seed_override: int | None = None
     cfg = RunConfig.from_json(config_path)
     if seed_override is not None:
         cfg.seed = seed_override
-    if cfg.algorithm not in ("sync", "async"):
+    if cfg.algorithm not in GOSSIP_ALGORITHMS:
         raise ValueError("compare-baseline applies to gossip algorithms")
     out = Path(out_dir if out_dir is not None else (cfg.output or "."))
     out.mkdir(parents=True, exist_ok=True)

@@ -5,6 +5,8 @@ accumulators, swap their auxiliary observations, then let nodes take
 dual-averaging steps along their biased partial-gradient estimates.  A step
 policy decides which nodes step and how their gradients are weighted: here
 every node steps each round; `async_gossip` steps only the two endpoints.
+The centralized baselines are policies too, on a single row with no graph
+(`centralized`), so every trace comes from `run_gossip`.
 Runs are deterministic state machines keyed by the config seed; auxiliary
 observations are exchanged by value (the swap permutes indices into an
 immutable dataset, which is observationally equivalent to copying the feature
@@ -39,9 +41,10 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[stream])
 
 
-@dataclass
-class SyncRunConfig:
-    graph: Graph
+@dataclass(kw_only=True)
+class EngineConfig:
+    """The fields every step policy of the engine reads."""
+
     data: Dataset
     loss: PairwiseLoss
     reg: Regularizer
@@ -49,20 +52,28 @@ class SyncRunConfig:
     T: int
     seed: int
     checkpoint_stride: int = 1000
-    gradient_mode: str = "gossip"
     theta_star: np.ndarray | None = None
     r_star: float | None = None
     record_bias: bool = True
 
     def __post_init__(self):
-        if self.graph.n != self.data.n:
-            raise ValueError(f"dataset size {self.data.n} != node count {self.graph.n}")
-        if self.gradient_mode not in GRADIENT_MODES:
-            raise ValueError(f"unknown gradient mode: {self.gradient_mode!r}")
         if self.T < 0:
             raise ValueError("T must be non-negative")
         if self.checkpoint_stride < 1:
             raise ValueError("checkpoint stride must be positive")
+
+
+@dataclass(kw_only=True)
+class SyncRunConfig(EngineConfig):
+    graph: Graph
+    gradient_mode: str = "gossip"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.graph.n != self.data.n:
+            raise ValueError(f"dataset size {self.data.n} != node count {self.graph.n}")
+        if self.gradient_mode not in GRADIENT_MODES:
+            raise ValueError(f"unknown gradient mode: {self.gradient_mode!r}")
         if not self.graph.is_connected() or self.graph.is_bipartite():
             warnings.warn("convergence guarantees need a connected, non-bipartite "
                           "graph", stacklevel=2)
@@ -102,14 +113,24 @@ def gossip_exchange(state: GossipState, g: Graph,
     return i, j
 
 
+def dual_average(state: GossipState, d: np.ndarray, t: int,
+                 cfg: EngineConfig) -> None:
+    """Every row's dual-averaging step at time t, in place: accumulate the
+    directions d, project with gamma(t), average the primal with weight 1/t."""
+    state.z += d
+    state.theta = smoothing_op(cfg.reg, -state.z, t, step_gamma(cfg.sched, t))
+    state.theta_bar *= 1.0 - 1.0 / t
+    state.theta_bar += state.theta / t
+
+
 def sync_step(state: GossipState, t: int, cfg: SyncRunConfig,
               rng_edge: np.random.Generator,
               rng_baseline: np.random.Generator | None = None):
     """One synchronous iteration, in place.
 
-    After the gossip exchange every node accumulates its gradient (post-swap
-    auxiliary), projects with gamma(t) and updates its running average with
-    weight 1/t.  Returns (applied directions d_k, ALL_NODES, bias index t).
+    After the gossip exchange every node takes a `dual_average` step along
+    its gradient with its post-swap auxiliary.  Returns (applied directions
+    d_k, ALL_NODES, bias index t).
     """
     gossip_exchange(state, cfg.graph, rng_edge)
     if cfg.gradient_mode == "gossip":
@@ -117,26 +138,23 @@ def sync_step(state: GossipState, t: int, cfg: SyncRunConfig,
     else:
         partners = rng_baseline.integers(cfg.data.n, size=cfg.data.n)
     d = pair_gradients(cfg.loss, state.theta, cfg.data, partners)
-    state.z += d
-    state.theta = smoothing_op(cfg.reg, -state.z, t, step_gamma(cfg.sched, t))
-    state.theta_bar *= 1.0 - 1.0 / t
-    state.theta_bar += state.theta / t
+    dual_average(state, d, t, cfg)
     return d, ALL_NODES, t
 
 
-def run_gossip(cfg: SyncRunConfig, step, p: np.ndarray,
+def run_gossip(cfg: EngineConfig, step, p: np.ndarray,
                local_clocks: bool = False) -> list[TraceRecord]:
     """Execute T steps of a policy, recording a TraceRecord at t = 0, at every
     checkpoint-stride multiple, and at t = T.
 
     `step(state, t, cfg, rng_edge, rng_baseline)` returns the applied rows,
     the nodes they belong to and the time index of the bias oracle; `p` are
-    the policy's activation probabilities.  With local_clocks the records
-    carry the m_k summary columns.
+    the policy's activation probabilities, one per row of the state.  With
+    local_clocks the records carry the m_k summary columns.
     """
     rng_edge = stream_rng(cfg.seed, EDGE)
     rng_baseline = stream_rng(cfg.seed, BASELINE)
-    state = GossipState.initial(cfg.data.n, param_shape(cfg.loss, cfg.data), p)
+    state = GossipState.initial(len(p), param_shape(cfg.loss, cfg.data), p)
 
     def record(t, bias=(math.nan, math.nan)):
         return make_record(t, state.theta_bar, state.z, cfg.data, cfg.loss,

@@ -1,14 +1,18 @@
 """Reference formulas that only the tests use.
 
 Each one restates a definition from the paper in its plainest form, so the
-library's vectorized or fused code can be checked against it.
+library's vectorized or fused code can be checked against it.  One helper,
+`centralized_iterates`, steps a centralized policy directly, for tests that
+read theta_bar at marks the engine's checkpoint stride cannot express.
 """
 
 import numpy as np
 
 from pairgossip.graphs import Graph
-from pairgossip.losses import DataPoint, PairwiseLoss
+from pairgossip.losses import (DataPoint, Dataset, PairwiseLoss, full_objective,
+                               param_shape)
 from pairgossip.regularizers import Regularizer, StepSchedule, psi_value, step_gamma
+from pairgossip.sync_gossip import EngineConfig, GossipState
 
 
 def loss_value(loss: PairwiseLoss, theta: np.ndarray, p_i: DataPoint, p_j: DataPoint) -> float:
@@ -55,3 +59,19 @@ def deterministic_gap_bound(theta_star_norm: float, L_f: float, sched: StepSched
         raise ValueError("bound defined for T >= 2")
     s = sum(step_gamma(sched, t) for t in range(1, T))
     return theta_star_norm ** 2 / (2 * T * step_gamma(sched, T)) + L_f ** 2 * s / (2 * T)
+
+
+def centralized_iterates(step, data: Dataset, loss: PairwiseLoss, reg: Regularizer,
+                         sched: StepSchedule, marks, rng=None):
+    """(t, theta_bar, R_n(theta_bar)) at each mark t of a centralized policy,
+    stepped directly on a one-row engine state with `rng` as its pair stream."""
+    cfg = EngineConfig(data=data, loss=loss, reg=reg, sched=sched, T=max(marks),
+                       seed=0, record_bias=False)
+    state = GossipState.initial(1, param_shape(loss, data), np.ones(1))
+    out = []
+    for t in range(1, cfg.T + 1):
+        step(state, t, cfg, None, rng)
+        if t in marks:
+            theta_bar = state.theta_bar[0].copy()
+            out.append((t, theta_bar, full_objective(theta_bar, data, loss, reg)))
+    return out

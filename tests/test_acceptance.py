@@ -13,7 +13,7 @@ import pytest
 
 from pairgossip.analysis import BoundInputs, bound_constants
 from pairgossip.async_gossip import AsyncRunConfig, async_step, run_async
-from pairgossip.centralized import run_centralized, solve_reference
+from pairgossip.centralized import deterministic_step, solve_reference, stochastic_step
 from pairgossip.datasets import SyntheticSpec, gen_gaussian_mixture, gen_two_class_gaussians
 from pairgossip.graphs import (Graph, activation_probabilities, complete_graph,
                                cycle_graph, spectral_gap, tensor_with_complete,
@@ -25,7 +25,7 @@ from pairgossip.regularizers import (Regularizer, StepSchedule, psi_value,
 from pairgossip.sync_gossip import (DATA, EDGE, GossipState, SyncRunConfig, run_sync,
                                     stream_rng)
 
-from oracles import deterministic_gap_bound, loss_value
+from oracles import centralized_iterates, deterministic_gap_bound, loss_value
 
 AUC = PairwiseLoss("auc_logistic")
 ZERO = Regularizer("zero")
@@ -119,18 +119,17 @@ def test_criterion_3_centralized_bounds():
     norm = float(np.linalg.norm(theta_star))
     marks = [2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000]
 
-    det = run_centralized("deterministic", data, AUC, ZERO, SQRT, 5000,
-                          checkpoints=marks)
-    det_ok = all(cp.objective - r_star
-                 <= deterministic_gap_bound(norm, L, SQRT, cp.t) + 1e-8
-                 for cp in det)
+    det = centralized_iterates(deterministic_step, data, AUC, ZERO, SQRT, marks)
+    det_ok = all(objective - r_star
+                 <= deterministic_gap_bound(norm, L, SQRT, t) + 1e-8
+                 for t, _, objective in det)
 
     gaps = {m: [] for m in marks}
     for seed in range(30):
-        tr = run_centralized("stochastic", data, AUC, ZERO, SQRT, 5000,
-                             rng=np.random.default_rng(seed), checkpoints=marks)
-        for cp in tr:
-            gaps[cp.t].append(cp.objective - r_star)
+        tr = centralized_iterates(stochastic_step, data, AUC, ZERO, SQRT, marks,
+                                  rng=np.random.default_rng(seed))
+        for t, _, objective in tr:
+            gaps[t].append(objective - r_star)
     worst = 0.0
     for m in marks:
         arr = np.array(gaps[m])

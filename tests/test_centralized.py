@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from pairgossip.centralized import run_centralized, solve_reference
+from pairgossip.centralized import (deterministic_step, run_centralized,
+                                    solve_reference, stochastic_step)
 from pairgossip.datasets import gen_two_class_gaussians
-from pairgossip.losses import Dataset, PairwiseLoss, full_objective, loss_lipschitz
+from pairgossip.losses import (Dataset, PairwiseLoss, full_gradient, full_objective,
+                               loss_lipschitz)
 from pairgossip.regularizers import Regularizer, StepSchedule, smoothing_op, step_gamma
+from pairgossip.sync_gossip import EngineConfig
 
-from oracles import deterministic_gap_bound
+from oracles import centralized_iterates, deterministic_gap_bound
 
 AUC = PairwiseLoss("auc_logistic")
 ZERO = Regularizer("zero")
@@ -23,18 +26,16 @@ class TestRunCentralized:
         # accumulates g(1) evaluated at theta = 0, then projects.
         data = toy_data()
         sched = StepSchedule("inv_sqrt", c=1.0)
-        trace = run_centralized("deterministic", data, AUC, ZERO, sched, 1,
-                                checkpoints=[1])
-        from pairgossip.losses import full_gradient
+        [(_, theta_bar, _)] = centralized_iterates(deterministic_step, data,
+                                                   AUC, ZERO, sched, [1])
         g1 = full_gradient(np.zeros(3), data, AUC)
         expect = smoothing_op(ZERO, -g1, 1, step_gamma(sched, 1))
-        assert np.allclose(trace[0].theta_bar, expect, atol=1e-12)
+        assert np.allclose(theta_bar, expect, atol=1e-12)
 
     def test_running_average_matches_explicit_sum(self):
         data = toy_data()
         sched = StepSchedule("inv_sqrt", c=0.5)
         # rebuild the iterates by hand and compare the T-th average
-        from pairgossip.losses import full_gradient
         z = np.zeros(3)
         theta = np.zeros(3)
         thetas = []
@@ -43,10 +44,9 @@ class TestRunCentralized:
             z = z + full_gradient(theta, data, AUC)
             theta = smoothing_op(ZERO, -z, t, step_gamma(sched, t))
             thetas.append(theta)
-        trace = run_centralized("deterministic", data, AUC, ZERO, sched, T,
-                                checkpoints=[T])
-        assert np.allclose(trace[-1].theta_bar, np.mean(thetas, axis=0),
-                           atol=1e-10)
+        [(_, theta_bar, _)] = centralized_iterates(deterministic_step, data,
+                                                   AUC, ZERO, sched, [T])
+        assert np.allclose(theta_bar, np.mean(thetas, axis=0), atol=1e-10)
 
     def test_stochastic_determinism(self):
         data = toy_data()
@@ -54,30 +54,37 @@ class TestRunCentralized:
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(123)
-            trace = run_centralized("stochastic", data, AUC, ZERO, sched, 200,
-                                    rng=rng, checkpoints=[50, 200])
-            runs.append(trace)
-        for a, b in zip(*runs):
-            assert np.array_equal(a.theta_bar, b.theta_bar)
-            assert a.objective == b.objective
+            runs.append(centralized_iterates(stochastic_step, data, AUC, ZERO,
+                                             sched, [50, 200], rng=rng))
+        for (ta, theta_a, obj_a), (tb, theta_b, obj_b) in zip(*runs):
+            assert ta == tb
+            assert np.array_equal(theta_a, theta_b)
+            assert obj_a == obj_b
 
-    def test_stochastic_needs_rng(self):
-        with pytest.raises(ValueError):
-            run_centralized("stochastic", toy_data(), AUC, ZERO,
-                            StepSchedule("inv_sqrt"), 5)
+    def test_rejects_bias_recording(self):
+        # the bias oracle is per node; the check fires before any step runs
+        cfg = EngineConfig(data=toy_data(), loss=AUC, reg=ZERO,
+                           sched=StepSchedule("inv_sqrt"), T=5, seed=0,
+                           record_bias=True)
+
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        with pytest.raises(ValueError, match="record_bias"):
+            run_centralized(cfg, no_step)
 
     def test_deterministic_bound_all_checkpoints(self):
         data = toy_data(n=12, d=3, separation=0.5)
         theta_star, r_star = solve_reference(data, AUC, ZERO)
         sched = StepSchedule("inv_sqrt", c=1.0)
         marks = [2, 5, 10, 50, 200, 1000]
-        trace = run_centralized("deterministic", data, AUC, ZERO, sched, 1000,
-                                checkpoints=marks)
+        trace = centralized_iterates(deterministic_step, data, AUC, ZERO, sched,
+                                     marks)
         L = loss_lipschitz(AUC, data)
-        for cp in trace:
+        for t, _, objective in trace:
             bound = deterministic_gap_bound(float(np.linalg.norm(theta_star)),
-                                            L, sched, cp.t)
-            assert cp.objective - r_star <= bound + 1e-8
+                                            L, sched, t)
+            assert objective - r_star <= bound + 1e-8
 
     def test_bounded_domain_schedule_rate(self):
         data = toy_data(n=12, d=3, separation=0.5)
@@ -86,9 +93,9 @@ class TestRunCentralized:
         D = 2.0 * float(np.linalg.norm(theta_star)) + 1.0
         sched = StepSchedule("bounded_domain", D=D, L_f=L)
         T = 2000
-        trace = run_centralized("deterministic", data, AUC, ZERO, sched, T,
-                                checkpoints=[T])
-        assert trace[-1].objective - r_star <= np.sqrt(2.0) * D * L / np.sqrt(T) + 1e-8
+        [(_, _, objective)] = centralized_iterates(deterministic_step, data, AUC,
+                                                   ZERO, sched, [T])
+        assert objective - r_star <= np.sqrt(2.0) * D * L / np.sqrt(T) + 1e-8
 
 
 class TestSolveReference:

@@ -1,8 +1,9 @@
 """The gossip engine against recorded traces and the shared bias oracle.
 
-The expected records were produced by the separate synchronous and
-asynchronous runners that the engine replaced; the engine keeps every RNG
-draw and the order of floating-point operations, so they must still match.
+The expected records were produced by the separate synchronous,
+asynchronous and centralized runners that the engine replaced; the engine
+keeps every RNG draw and the order of floating-point operations, so they
+must still match.
 """
 
 import math
@@ -13,11 +14,12 @@ import pytest
 
 from pairgossip.analysis import bias_sample
 from pairgossip.async_gossip import AsyncRunConfig, async_step, run_async
+from pairgossip.centralized import deterministic_step, run_centralized, stochastic_step
 from pairgossip.graphs import Graph, activation_probabilities
 from pairgossip.losses import Dataset, PairwiseLoss, param_shape
 from pairgossip.regularizers import Regularizer, StepSchedule
-from pairgossip.sync_gossip import (BASELINE, EDGE, GossipState, SyncRunConfig,
-                                    run_sync, stream_rng)
+from pairgossip.sync_gossip import (BASELINE, EDGE, EngineConfig, GossipState,
+                                    SyncRunConfig, run_sync, stream_rng)
 
 INV_SQRT = StepSchedule("inv_sqrt", c=1.0)
 POLY = StepSchedule("poly", c=1.0, alpha=0.25)
@@ -47,6 +49,16 @@ RECORDED = {
         bias_term=0.0016954671637533295, bias_term_centered=-0.01828399382591263,
         dual_disagreement=2.8873418916996294, m_min=280.0, m_max=329.0,
         m_mean=300.1833333333333),
+    ("centralized", "deterministic"): dict(
+        t=300, obj_mean=0.17075241054438794, obj_std=0.0,
+        obj_max=0.17075241054438794, gap_mean=-0.12924758945561204,
+        bias_term=math.nan, bias_term_centered=math.nan, dual_disagreement=0.0,
+        m_min=None, m_max=None, m_mean=None),
+    ("centralized", "stochastic"): dict(
+        t=300, obj_mean=0.17074262237245302, obj_std=0.0,
+        obj_max=0.17074262237245302, gap_mean=-0.12925737762754697,
+        bias_term=math.nan, bias_term_centered=math.nan, dual_disagreement=0.0,
+        m_min=None, m_max=None, m_mean=None),
 }
 
 
@@ -58,25 +70,34 @@ def make_cfg(policy, mode):
     # a 10-cycle with chords: non-bipartite, with unequal degrees
     g = Graph.from_edges(10, [(k, (k + 1) % 10) for k in range(10)]
                          + [(0, 5), (0, 3), (2, 7), (4, 8)])
+    shared = dict(data=data, loss=PairwiseLoss("auc_logistic"),
+                  reg=Regularizer("squared_l2", lam=0.05), T=300, seed=7,
+                  checkpoint_stride=100, theta_star=np.array([0.5, -0.25]),
+                  r_star=0.3)
+    if policy == "centralized":  # mode names the step policy
+        return EngineConfig(sched=INV_SQRT, record_bias=False, **shared)
     cls, sched = ((SyncRunConfig, INV_SQRT) if policy == "sync"
                   else (AsyncRunConfig, POLY))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return cls(graph=g, data=data, loss=PairwiseLoss("auc_logistic"),
-                   reg=Regularizer("squared_l2", lam=0.05), sched=sched, T=300,
-                   seed=7, checkpoint_stride=100, gradient_mode=mode,
-                   theta_star=np.array([0.5, -0.25]), r_star=0.3)
+        return cls(graph=g, sched=sched, gradient_mode=mode, **shared)
 
 
 @pytest.mark.parametrize("policy,mode", sorted(RECORDED))
 def test_final_record_matches_recorded(policy, mode):
-    run = run_sync if policy == "sync" else run_async
-    got = run(make_cfg(policy, mode))[-1].__dict__
+    cfg = make_cfg(policy, mode)
+    if policy == "centralized":
+        step = deterministic_step if mode == "deterministic" else stochastic_step
+        records = run_centralized(cfg, step)
+    else:
+        records = (run_sync if policy == "sync" else run_async)(cfg)
+    got = records[-1].__dict__
     for key, want in RECORDED[(policy, mode)].items():
         if want is None:
             assert got[key] is None, key
         else:
-            assert got[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
+            assert got[key] == pytest.approx(want, rel=1e-12, abs=0.0,
+                                             nan_ok=True), key
 
 
 @pytest.mark.parametrize("mode", ["gossip", "unbiased_baseline"])

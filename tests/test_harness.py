@@ -123,6 +123,16 @@ def sync_config(tmp_path, **overrides):
     return path
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Counts the reference solves a test triggers."""
+    calls = []
+    solve = harness.centralized.solve_reference
+    monkeypatch.setattr(harness.centralized, "solve_reference",
+                        lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    return calls
+
+
 class TestRunConfig:
     def test_rejects_unknown_field(self, tmp_path):
         path = sync_config(tmp_path, bogus=1)
@@ -139,6 +149,22 @@ class TestRunConfig:
         path = sync_config(tmp_path, topology=None)
         with pytest.raises(ValueError):
             harness.RunConfig.from_json(path)
+        # a centralized run uses no graph, so it takes no topology either
+        path = sync_config(tmp_path, algorithm="centralized_det",
+                           topology={"kind": "cycle", "n": 9})
+        with pytest.raises(ValueError):
+            harness.RunConfig.from_json(path)
+
+    def test_ill_posed_inputs_fail_before_the_reference_solve(self, tmp_path,
+                                                              solve_calls):
+        for overrides in ({"gradient_mode": "bogus"},
+                          {"gradient_mode": "bogus", "algorithm": "centralized_det",
+                           "topology": None},
+                          {"topology": {"kind": "cycle", "n": 9}}):
+            path = sync_config(tmp_path, **overrides)
+            with pytest.raises(ValueError):
+                harness.run_experiment(path, out_dir=tmp_path / "out")
+        assert solve_calls == []
 
     def test_unknown_algorithm(self, tmp_path):
         path = sync_config(tmp_path, algorithm="admm")
@@ -193,14 +219,10 @@ class TestRunExperiment:
             summary = json.loads((out / "summary.json").read_text())
             assert summary["final_gap_mean"] >= -1e-8
 
-    def test_compare_baseline(self, tmp_path, monkeypatch):
-        solves = []
-        solve = harness.centralized.solve_reference
-        monkeypatch.setattr(harness.centralized, "solve_reference",
-                            lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+    def test_compare_baseline(self, tmp_path, solve_calls):
         path = sync_config(tmp_path)
         out = harness.compare_baseline(path, out_dir=tmp_path / "cmp")
-        assert len(solves) == 1
+        assert len(solve_calls) == 1
         doc = json.loads((out / "compare.json").read_text())
         assert doc["final_obj_relative_difference"] >= 0.0
         assert (out / "trace_gossip.csv").exists()
