@@ -18,8 +18,8 @@ from .graphs import (Graph, activation_probabilities, build_topology,
                      spectral_gap, tensor_with_complete, watts_strogatz_graph,
                      write_edgelist)
 from .harness import (RunConfig, compare_baseline, run_experiment, run_many)
-from .losses import (Dataset, PairwiseLoss, auc_score, exact_partial_gradient,
-                     full_gradient, full_objective, loss_grad, loss_lipschitz)
+from .losses import (Dataset, PairwiseLoss, auc_score, full_gradient,
+                     full_objective, loss_grad, loss_lipschitz)
 from .regularizers import (Regularizer, StepSchedule, prox_psi, psi_value,
                            smoothing_op, step_gamma)
 from .sync_gossip import EngineConfig, SyncRunConfig, run_sync
@@ -32,7 +32,7 @@ __all__ = [
     "SyncRunConfig", "SyntheticSpec", "TraceRecord", "activation_probabilities",
     "auc_score", "bound_constants", "build_topology", "compare_baseline",
     "complete_graph", "cycle_graph", "deterministic_step", "dual_disagreement",
-    "exact_partial_gradient", "full_gradient", "full_objective",
+    "full_gradient", "full_objective",
     "gen_gaussian_mixture", "gen_two_class_gaussians",
     "load_breast_cancer", "loss_grad", "loss_lipschitz", "prox_psi",
     "psi_value", "read_edgelist", "read_trace", "run_async",

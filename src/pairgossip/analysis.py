@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import Dataset, PairwiseLoss, exact_partial_gradient, full_objective
+from .losses import Dataset, PairwiseLoss, full_objective, mean_partial_gradient
 from .regularizers import Regularizer, StepSchedule, smoothing_op, step_gamma
 
 SYNC_COLUMNS = ("t", "obj_mean", "obj_std", "obj_max", "gap_mean",
@@ -92,11 +92,7 @@ def bias_sample(thetas: np.ndarray, applied: np.ndarray, zbar: np.ndarray,
     sample); omega = Pi_{t_index}(-zbar).  Returns (eps_bar . omega,
     eps_bar . (omega - theta*)); the centered term is NaN without theta*.
     """
-    n = data.n
-    eps_bar = np.zeros_like(zbar)
-    for k in range(n):
-        eps_bar += applied[k] - exact_partial_gradient(thetas[k], k, data, loss)
-    eps_bar /= n
+    eps_bar = applied.mean(axis=0) - mean_partial_gradient(thetas, data, loss)
     omega = smoothing_op(reg, -zbar, t_index, step_gamma(sched, t_index))
     bias = float(np.sum(eps_bar * omega))
     if theta_star is None:
@@ -106,8 +102,12 @@ def bias_sample(thetas: np.ndarray, applied: np.ndarray, zbar: np.ndarray,
 
 def objective_per_node(theta_stack: np.ndarray, data: Dataset, loss: PairwiseLoss,
                        reg: Regularizer) -> np.ndarray:
-    """R_n evaluated at each node's parameter."""
-    return np.array([full_objective(th, data, loss, reg) for th in theta_stack])
+    """R_n evaluated at each node's parameter, once per distinct row (rows
+    compared by their bytes): early in a run most nodes still hold theta = 0."""
+    seen = {}
+    firsts = [seen.setdefault(row.tobytes(), k) for k, row in enumerate(theta_stack)]
+    rows, inverse = np.unique(firsts, return_inverse=True)
+    return full_objective(theta_stack[rows], data, loss, reg)[inverse]
 
 
 def make_record(t: int, theta_bars: np.ndarray, z_stack: np.ndarray,

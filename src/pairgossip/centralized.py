@@ -57,14 +57,14 @@ def solve_reference(data: Dataset, loss: PairwiseLoss, reg: Regularizer,
     """
     shape = param_shape(loss, data)
     theta = np.zeros(shape)
+    obj = full_objective(theta, data, loss, reg)
     if tolerance is None:
-        tolerance = 1e-8 * (1.0 + full_objective(theta, data, loss, reg))
+        tolerance = 1e-8 * (1.0 + obj)
 
     # FISTA with backtracking line search.
     step = 1.0
     y = theta.copy()
     momentum = 1.0
-    obj = full_objective(theta, data, loss, reg)
     for _ in range(max_iter):
         g = full_gradient(y, data, loss)
         fy = full_objective(y, data, loss, Regularizer("zero"))

@@ -63,8 +63,6 @@ class RunConfig:
                                  "zero regularizer (matrix parameter)")
         if self.T < 0 or self.checkpoint_stride < 1:
             raise ValueError("invalid T or checkpoint stride")
-        if self.algorithm.startswith("centralized_") and self.T < 1:
-            raise ValueError(f"{self.algorithm} needs T >= 1, got {self.T}")
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -192,9 +190,9 @@ def run_experiment(config_path, out_dir=None, seed_override: int | None = None) 
     if seed_override is not None:
         cfg.seed = seed_override
     out = Path(out_dir if out_dir is not None else (cfg.output or "."))
-    out.mkdir(parents=True, exist_ok=True)
     start = time.monotonic()
     prep = prepare(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     records = execute(prep)
     elapsed = time.monotonic() - start
     write_trace(records, out / "trace.csv")
@@ -213,8 +211,8 @@ def compare_baseline(config_path, out_dir=None, seed_override: int | None = None
     if cfg.algorithm not in GOSSIP_ALGORITHMS:
         raise ValueError("compare-baseline applies to gossip algorithms")
     out = Path(out_dir if out_dir is not None else (cfg.output or "."))
-    out.mkdir(parents=True, exist_ok=True)
     prep = prepare(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     finals = {}
     for mode in ("gossip", "unbiased_baseline"):
         records = execute(replace(prep, cfg=replace(cfg, gradient_mode=mode)))

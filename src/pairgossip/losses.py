@@ -83,10 +83,6 @@ def _check_theta(loss: PairwiseLoss, theta: np.ndarray) -> None:
                          f"got ndim={theta.ndim}")
 
 
-def _mahalanobis(theta: np.ndarray, delta: np.ndarray) -> float:
-    return float(delta @ theta @ delta)
-
-
 def loss_grad(loss: PairwiseLoss, theta: np.ndarray, p_i: DataPoint, p_j: DataPoint) -> np.ndarray:
     _check_theta(loss, theta)
     if loss.kind == "auc_logistic":
@@ -98,56 +94,82 @@ def loss_grad(loss: PairwiseLoss, theta: np.ndarray, p_i: DataPoint, p_j: DataPo
         return sigma * diff
     delta = p_i.features - p_j.features
     ll = p_i.label * p_j.label
-    if 1.0 - ll * (loss.b - _mahalanobis(theta, delta)) > 0.0:
+    if 1.0 - ll * (loss.b - float(delta @ theta @ delta)) > 0.0:
         return float(ll) * np.outer(delta, delta)
     return np.zeros_like(theta)
 
 
-def _auc_pair_scores(theta: np.ndarray, data: Dataset):
-    """Score differences s_j - s_i over positive i, negative j."""
-    s = data.features @ theta
-    pos, neg = s[data.labels == 1], s[data.labels == -1]
-    return neg[None, :] - pos[:, None]
+# Pairwise-kernel temporaries hold about this many float64 elements.
+_CHUNK = 2 ** 15
+_SAFE_SCORE = 350.0  # |s| < 350 keeps e^(-s_i), e^(s_j) and their product in e^(+-700)
 
 
-def _pair_hinge(theta: np.ndarray, data: Dataset, loss: PairwiseLoss) -> np.ndarray:
-    """Hinge losses max(0, 1 - l_i l_j (b - d_theta(x_i, x_j))) of all ordered pairs."""
-    g = data.features @ theta @ data.features.T
-    sq = np.diag(g)
-    h = sq[:, None] + sq[None, :] - g - g.T - loss.b
-    # 1 + l_i l_j (d - b) in place in one n x n buffer; the +-1 label flips are exact
-    h *= data.labels[:, None]
-    h *= data.labels
-    h += 1.0
-    return np.maximum(0.0, h, out=h)
+def _auc_loss_sums(thetas: np.ndarray, data: Dataset) -> np.ndarray:
+    """sum_{positive i, negative j} log(1 + e^(s_j - s_i)), s = x theta, per row
+    of a stack, in chunks of rows scored by one GEMM: exp-factorised (one log1p
+    of e^(-s_i) e^(s_j) per pair) while every |s| < _SAFE_SCORE, else logaddexp."""
+    pos, neg = data.labels == 1, data.labels == -1
+    signed = data.features * -data.labels[:, None]  # scores -s_i and s_j
+    step = max(1, 4 * _CHUNK // data.n ** 2)  # a row has at most n^2 / 4 pairs
+    sums = np.empty(len(thetas))
+    for c in range(0, len(thetas), step):
+        u = thetas[c:c + step] @ signed.T
+        e = np.exp(np.minimum(u, _SAFE_SCORE))  # finite; exact on the rows that use it
+        b = e[:, pos, None] * e[:, None, neg]
+        sums[c:c + step] = np.log1p(b, out=b).sum(axis=(1, 2))
+        if np.abs(u).max() >= _SAFE_SCORE:
+            for k in np.flatnonzero(np.abs(u).max(axis=1) >= _SAFE_SCORE):
+                sums[c + k] = np.logaddexp(0.0, u[k, neg] + u[k, pos][:, None]).sum()
+    return sums
+
+
+def _pair_hinge(theta: np.ndarray, data: Dataset, loss: PairwiseLoss, rows: int):
+    """Row blocks i in [a, a + rows), j >= a of the symmetric pair matrix of hinge
+    losses max(0, 1 - l_i l_j (b - d_theta(x_i, x_j))); rows = n yields all of it."""
+    x, labels = data.features, data.labels
+    xt = x @ (theta + theta.T)  # 2 x_i theta_sym
+    sq = 0.5 * np.einsum("id,id->i", xt, x)  # d_theta(x_i, 0)
+    for a in range(0, data.n, rows):
+        # 1 + l_i l_j (sq_i + sq_j - 2 x_i theta_sym x_j - b), in place; +-1 flips are exact
+        h = xt[a:a + rows] @ x[a:].T
+        np.subtract(sq[a:], h, out=h)
+        h += (sq[a:a + rows] - loss.b)[:, None]
+        h *= labels[a:a + rows, None]
+        h *= labels[a:]
+        h += 1.0
+        yield np.maximum(0.0, h, out=h)
 
 
 def full_objective(theta: np.ndarray, data: Dataset, loss: PairwiseLoss,
-                   reg: Regularizer) -> float:
-    """(1/n^2) sum over all ordered pairs of the loss, plus the penalty."""
-    _check_theta(loss, theta)
-    n = data.n
+                   reg: Regularizer) -> float | np.ndarray:
+    """(1/n^2) sum over all ordered pairs of the loss, plus the penalty, at one
+    parameter (a float) or at each of a stack along a leading axis (an array).
+    The hinge sums the upper-triangle blocks, off-diagonal parts twice."""
+    stack = theta.ndim == loss.param_ndim + 1
+    thetas = theta if stack else theta[None]
+    _check_theta(loss, thetas[0])
     if loss.kind == "auc_logistic":
-        diffs = _auc_pair_scores(theta, data)
-        total = float(np.logaddexp(0.0, diffs, out=diffs).sum())
+        sums = _auc_loss_sums(thetas, data)
     else:
-        total = float(_pair_hinge(theta, data, loss).sum())
-    return total / n ** 2 + psi_value(reg, theta)
+        rows = max(1, _CHUNK // data.n)
+        sums = np.array([sum(2.0 * h.sum() - h[:, :len(h)].sum()
+                             for h in _pair_hinge(th, data, loss, rows))
+                         for th in thetas])
+    if not stack:
+        return float(sums[0]) / data.n ** 2 + psi_value(reg, theta)
+    return sums / data.n ** 2 + np.array([psi_value(reg, th) for th in thetas])
 
 
 def full_gradient(theta: np.ndarray, data: Dataset, loss: PairwiseLoss) -> np.ndarray:
     """Exact gradient of the (1/n^2) double-sum loss term."""
     _check_theta(loss, theta)
-    n = data.n
-    x = data.features
+    n, x = data.n, data.features
     if loss.kind == "auc_logistic":
-        diffs = _auc_pair_scores(theta, data)
-        sig = 0.5 * (1.0 + np.tanh(0.5 * diffs))  # (n_pos, n_neg)
-        xp, xn = x[data.labels == 1], x[data.labels == -1]
-        # sum_ij sigma_ij (x_j - x_i)
-        grad = sig.sum(axis=0) @ xn - sig.sum(axis=1) @ xp
-        return grad / n ** 2
-    w = np.where(_pair_hinge(theta, data, loss) > 0.0, np.outer(data.labels, data.labels), 0.0)
+        s, pos = x @ theta, data.labels == 1
+        sig = 0.5 * (1.0 + np.tanh(0.5 * (s[~pos] - s[pos][:, None])))  # sigma(s_j - s_i)
+        return (sig.sum(axis=0) @ x[~pos] - sig.sum(axis=1) @ x[pos]) / n ** 2
+    hinge = next(_pair_hinge(theta, data, loss, n))
+    w = np.where(hinge > 0.0, np.outer(data.labels, data.labels), 0.0)
     # sum_ij w_ij (x_i - x_j)(x_i - x_j)^T, expanded into three Gram pieces
     row = w.sum(axis=1)
     col = w.sum(axis=0)
@@ -156,30 +178,30 @@ def full_gradient(theta: np.ndarray, data: Dataset, loss: PairwiseLoss) -> np.nd
     return grad / n ** 2
 
 
-def exact_partial_gradient(theta: np.ndarray, i: int, data: Dataset,
-                           loss: PairwiseLoss) -> np.ndarray:
-    """(1/n) sum_j grad f(theta; x_i, x_j): the per-node bias oracle."""
-    if not (0 <= i < data.n):
-        raise IndexError(f"node index {i} out of range")
-    _check_theta(loss, theta)
-    n = data.n
-    x, labels = data.features, data.labels
+def mean_partial_gradient(thetas: np.ndarray, data: Dataset,
+                          loss: PairwiseLoss) -> np.ndarray:
+    """Mean over nodes k of the exact per-node oracle (1/n) sum_j
+    grad f(theta_k; x_k, x_j), in chunks of nodes: AUC scores the positive
+    nodes' rows against all negatives in one GEMM, the hinge forms the
+    quadratic forms (x_k - x_j)' theta_k (x_k - x_j)."""
+    n, x, labels = data.n, data.features, data.labels
+    total = np.zeros(thetas.shape[1:])
     if loss.kind == "auc_logistic":
-        if labels[i] <= -1:
-            return np.zeros_like(theta)
-        mask = labels < labels[i]
-        if not mask.any():
-            return np.zeros_like(theta)
-        diffs = x[mask] - x[i]
-        sig = 0.5 * (1.0 + np.tanh(0.5 * (diffs @ theta)))
-        return (sig @ diffs) / n
-    delta = x[i] - x
-    dist = np.einsum("jd,de,je->j", delta, theta, delta)
-    ll = labels[i] * labels
-    active = (1.0 - ll * (loss.b - dist)) > 0.0
-    w = np.where(active, ll, 0).astype(float)
-    grad = (delta.T * w) @ delta
-    return 0.5 * (grad + grad.T) / n
+        pos, xn = np.flatnonzero(labels == 1), x[labels == -1]
+        step = max(1, _CHUNK // max(len(xn), 1))
+        for k in np.split(pos, range(step, len(pos), step)):
+            s = thetas[k] @ xn.T - np.einsum("kd,kd->k", thetas[k], x[k])[:, None]
+            sig = 0.5 * (1.0 + np.tanh(0.5 * s))  # sigma((x_j - x_k)' theta_k)
+            total += sig.sum(axis=0) @ xn - sig.sum(axis=1) @ x[k]
+        return total / n ** 2
+    step = max(1, _CHUNK // (n * data.dim))
+    for c in range(0, n, step):
+        delta = x[c:c + step, None] - x  # (nodes, n, d): x_k - x_j
+        dist = np.einsum("kjd,kjd->kj", delta @ thetas[c:c + step], delta)
+        ll = labels[c:c + step, None] * labels
+        w = np.where(1.0 - ll * (loss.b - dist) > 0.0, ll, 0.0)
+        total += (delta * w[..., None]).reshape(-1, data.dim).T @ delta.reshape(-1, data.dim)
+    return total / n ** 2
 
 
 def pair_gradients(loss: PairwiseLoss, theta_stack: np.ndarray, data: Dataset,
@@ -212,8 +234,8 @@ def auc_score(theta: np.ndarray, data: Dataset) -> float:
     n_neg = int((data.labels == -1).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs at least one positive and one negative label")
-    diffs = _auc_pair_scores(theta, data)  # s_neg - s_pos
-    return float((diffs < 0).sum()) / (n_pos * n_neg)
+    s = data.features @ theta
+    return float((s[data.labels == 1][:, None] > s[data.labels == -1]).sum()) / (n_pos * n_neg)
 
 
 def loss_lipschitz(loss: PairwiseLoss, data: Dataset) -> float:

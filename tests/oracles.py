@@ -30,6 +30,34 @@ def loss_value(loss: PairwiseLoss, theta: np.ndarray, p_i: DataPoint, p_j: DataP
     return max(0.0, 1.0 - u)
 
 
+def exact_partial_gradient(theta: np.ndarray, i: int, data: Dataset,
+                           loss: PairwiseLoss) -> np.ndarray:
+    """(1/n) sum_j grad f(theta; x_i, x_j): the per-node bias oracle."""
+    if not (0 <= i < data.n):
+        raise IndexError(f"node index {i} out of range")
+    if theta.ndim != loss.param_ndim:
+        raise ValueError(f"{loss.kind} expects a {loss.param_ndim}-d parameter, "
+                         f"got ndim={theta.ndim}")
+    n = data.n
+    x, labels = data.features, data.labels
+    if loss.kind == "auc_logistic":
+        if labels[i] <= -1:
+            return np.zeros_like(theta)
+        mask = labels < labels[i]
+        if not mask.any():
+            return np.zeros_like(theta)
+        diffs = x[mask] - x[i]
+        sig = 0.5 * (1.0 + np.tanh(0.5 * (diffs @ theta)))
+        return (sig @ diffs) / n
+    delta = x[i] - x
+    dist = np.einsum("jd,de,je->j", delta, theta, delta)
+    ll = labels[i] * labels
+    active = (1.0 - ll * (loss.b - dist)) > 0.0
+    w = np.where(active, ll, 0).astype(float)
+    grad = (delta.T * w) @ delta
+    return 0.5 * (grad + grad.T) / n
+
+
 def smoothing_objective(reg: Regularizer, z: np.ndarray, t: float, gamma_t: float,
                         theta: np.ndarray) -> float:
     """The objective the smoothing operator minimizes, for certificate checks."""

@@ -7,14 +7,47 @@ from pairgossip.analysis import (ASYNC_COLUMNS, SYNC_COLUMNS, BoundInputs,
                                  TraceRecord, bias_sample, bound_constants,
                                  dual_disagreement, make_record,
                                  objective_per_node, read_trace, write_trace)
+from pairgossip import losses
 from pairgossip.datasets import gen_two_class_gaussians
-from pairgossip.losses import (Dataset, PairwiseLoss, exact_partial_gradient,
-                               full_objective, loss_grad)
-from pairgossip.regularizers import Regularizer, StepSchedule, smoothing_op, step_gamma
+from pairgossip.losses import (Dataset, PairwiseLoss, full_objective, loss_grad,
+                               mean_partial_gradient)
+from pairgossip.regularizers import (Regularizer, StepSchedule, psi_value,
+                                     smoothing_op, step_gamma)
+
+from oracles import exact_partial_gradient, loss_value
 
 AUC = PairwiseLoss("auc_logistic")
+HINGE = PairwiseLoss("metric_hinge", b=1.0)
 ZERO = Regularizer("zero")
+L2 = Regularizer("squared_l2", lam=0.1)
 SQRT = StepSchedule("inv_sqrt", c=1.0)
+
+
+@pytest.fixture(params=[None, 8, 30], ids=["default_chunks", "chunk8", "chunk30"])
+def chunk(request, monkeypatch):
+    """Runs a test with the kernels' default temporaries, then with chunks of
+    8 and 30 elements, so that several row chunks (a short last one among
+    them) and hinge blocks occur."""
+    if request.param is not None:
+        monkeypatch.setattr(losses, "_CHUNK", request.param)
+
+
+def labelled_data(n, n_pos, d, rng):
+    labels = rng.permutation(np.array([1] * n_pos + [-1] * (n - n_pos)))
+    return Dataset(features=rng.standard_normal((n, d)), labels=labels)
+
+
+def random_rows(loss, d, scales, rng):
+    shape = (d,) if loss.param_ndim == 1 else (d, d)
+    return np.stack([s * rng.standard_normal(shape) for s in scales])
+
+
+def pair_loop_objectives(stack, data, loss, reg):
+    """R_n at each row, by a double loop over the oracle pair loss."""
+    n = data.n
+    return np.array([sum(loss_value(loss, th, data.point(i), data.point(j))
+                         for i in range(n) for j in range(n)) / n ** 2
+                     + psi_value(reg, th) for th in stack])
 
 
 class TestDualDisagreement:
@@ -121,6 +154,68 @@ class TestBiasSample:
         bias, centered = bias_sample(np.zeros((3, 2)), np.zeros((3, 2)),
                                      np.zeros(2), data, AUC, ZERO, SQRT, 2, None)
         assert math.isnan(centered)
+
+
+class TestBatchedBiasOracle:
+    @pytest.mark.parametrize("loss", [AUC, HINGE], ids=["auc", "hinge"])
+    @pytest.mark.parametrize("n,n_pos", [(9, 2), (9, 6), (6, 3), (4, 4), (2, 1)])
+    def test_matches_per_node_loop(self, loss, n, n_pos, chunk):
+        rng = np.random.default_rng(100 * n + n_pos)
+        data = labelled_data(n, n_pos, 3, rng)
+        thetas = random_rows(loss, 3, np.ones(n), rng)
+        want = np.mean([exact_partial_gradient(thetas[k], k, data, loss)
+                        for k in range(n)], axis=0)
+        got = mean_partial_gradient(thetas, data, loss)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+class TestObjectivePerNodeOracle:
+    """objective_per_node against a pair loop over the oracle loss."""
+
+    @pytest.mark.parametrize("loss", [AUC, HINGE], ids=["auc", "hinge"])
+    def test_repeated_and_negative_zero_rows(self, loss, chunk):
+        rng = np.random.default_rng(20)
+        data = labelled_data(7, 3, 2, rng)
+        a, b = random_rows(loss, 2, [0.3, 0.3], rng)
+        zero = np.zeros_like(a)
+        stack = np.stack([a, zero, b, a, -zero, b, zero, -a])
+        got = objective_per_node(stack, data, loss, L2)
+        np.testing.assert_allclose(got, pair_loop_objectives(stack, data, loss, L2),
+                                   rtol=1e-12)
+        assert got[0] == got[3] and got[1] == got[4] == got[6]
+
+    @pytest.mark.parametrize("loss", [AUC, HINGE], ids=["auc", "hinge"])
+    def test_rows_inside_and_outside_the_safe_score_range(self, loss, chunk):
+        rng = np.random.default_rng(21)
+        data = labelled_data(8, 4, 2, rng)
+        data = Dataset(features=np.column_stack([data.features, np.ones(8)]),
+                       labels=data.labels)
+        stack = random_rows(loss, 3, [0.3, 30, 300, 0.3, 300, 30], rng)
+        if loss is AUC:
+            # every score near 400, outside the safe range, while each pair
+            # term is near log 2
+            stack[3] = [0.1, -0.1, 400.0]
+            peak = np.abs(stack @ data.features.T).max(axis=1)
+            assert (peak < losses._SAFE_SCORE).any()
+            assert (peak >= losses._SAFE_SCORE).any()
+        got = objective_per_node(stack, data, loss, L2)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, pair_loop_objectives(stack, data, loss, L2),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("loss", [AUC, HINGE], ids=["auc", "hinge"])
+    @pytest.mark.parametrize("n,n_pos", [(5, 5), (2, 1), (9, 2)],
+                             ids=["single_class", "n2", "odd_unbalanced"])
+    def test_small_and_unbalanced_datasets(self, loss, n, n_pos, chunk):
+        rng = np.random.default_rng(22 + n)
+        data = labelled_data(n, n_pos, 3, rng)
+        stack = random_rows(loss, 3, np.full(n, 0.5), rng)
+        got = objective_per_node(stack, data, loss, L2)
+        np.testing.assert_allclose(got, pair_loop_objectives(stack, data, loss, L2),
+                                   rtol=1e-12)
+        rec = make_record(1, stack, stack, data, loss, L2, r_star=None)
+        assert rec.obj_max == got.max()
 
 
 class TestObjectivePerNode:

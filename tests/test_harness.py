@@ -11,7 +11,10 @@ import pairgossip
 from pairgossip import cli, harness
 from pairgossip.datasets import (SyntheticSpec, gen_gaussian_mixture,
                                  load_breast_cancer)
+from pairgossip.analysis import read_trace
 from pairgossip.graphs import spectral_gap
+from pairgossip.losses import PairwiseLoss, full_objective
+from pairgossip.regularizers import Regularizer
 
 
 def write_uci_file(path, rows):
@@ -171,11 +174,6 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             harness.RunConfig.from_json(path)
 
-    def test_centralized_needs_a_step(self, tmp_path):
-        for algo in ("centralized_det", "centralized_sto"):
-            path = sync_config(tmp_path, algorithm=algo, topology=None, T=0)
-            with pytest.raises(ValueError, match="T >= 1"):
-                harness.RunConfig.from_json(path)
 
 
 class TestRunExperiment:
@@ -202,6 +200,28 @@ class TestRunExperiment:
         assert "bipartite" in summary["spectral_gap_reason"]
         assert "bound_c1" not in summary and "bound_c2" not in summary
         assert summary["final_obj_mean"] > 0.0
+
+    def test_zero_steps_write_one_t0_row(self, tmp_path):
+        for algo in harness.ALGORITHMS:
+            gossips = algo in harness.GOSSIP_ALGORITHMS
+            path = sync_config(tmp_path, algorithm=algo, T=0,
+                               compute_reference=False,
+                               topology={"kind": "complete", "n": 8} if gossips else None)
+            out = harness.run_experiment(path, out_dir=tmp_path / algo)
+            rows = read_trace(out / "trace.csv")
+            cfg = harness.RunConfig.from_json(path)
+            data = harness.build_dataset(cfg.dataset, cfg.seed)
+            want = full_objective(np.zeros(data.dim), data,
+                                  PairwiseLoss(**cfg.loss), Regularizer(**cfg.regularizer))
+            assert [r["t"] for r in rows] == [0]
+            assert rows[0]["obj_mean"] == pytest.approx(want, rel=1e-12)
+
+    def test_rejected_config_leaves_no_output_directory(self, tmp_path):
+        path = sync_config(tmp_path, topology={"kind": "cycle", "n": 9})
+        for run in (harness.run_experiment, harness.compare_baseline):
+            with pytest.raises(ValueError):
+                run(path, out_dir=tmp_path / "out" / run.__name__)
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         path = sync_config(tmp_path)
