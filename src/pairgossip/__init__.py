@@ -19,7 +19,7 @@ from .graphs import (Graph, activation_probabilities, build_topology,
                      write_edgelist)
 from .harness import (RunConfig, compare_baseline, run_experiment, run_many)
 from .losses import (Dataset, PairwiseLoss, auc_score, full_gradient,
-                     full_objective, loss_grad, loss_lipschitz)
+                     full_objective, loss_lipschitz)
 from .regularizers import (Regularizer, StepSchedule, prox_psi, psi_value,
                            smoothing_op, step_gamma)
 from .sync_gossip import EngineConfig, SyncRunConfig, run_sync
@@ -34,7 +34,7 @@ __all__ = [
     "complete_graph", "cycle_graph", "deterministic_step", "dual_disagreement",
     "full_gradient", "full_objective",
     "gen_gaussian_mixture", "gen_two_class_gaussians",
-    "load_breast_cancer", "loss_grad", "loss_lipschitz", "prox_psi",
+    "load_breast_cancer", "loss_lipschitz", "prox_psi",
     "psi_value", "read_edgelist", "read_trace", "run_async",
     "run_centralized", "run_experiment", "run_many", "run_sync",
     "sample_edge", "solve_reference", "spectral_gap", "step_gamma",

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -134,10 +137,23 @@ def make_record(t: int, theta_bars: np.ndarray, z_stack: np.ndarray,
     return rec
 
 
+@contextmanager
+def atomic_write(path):
+    """A text file that appears at `path` only once the block completes: it is
+    written next to `path`, then moved there by os.replace, or else removed."""
+    tmp = Path(path).with_name(f".{Path(path).name}.tmp")
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_trace(records, path) -> None:
     is_async = any(r.m_min is not None for r in records)
     columns = ASYNC_COLUMNS if is_async else SYNC_COLUMNS
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for r in records:

@@ -2,8 +2,8 @@
 
 The baselines are step policies of the gossip engine on one row with no
 graph, taking `dual_average` steps along the exact full gradient
-(deterministic) or along one uniformly drawn ordered pair (i, j), i = j
-included, from the engine's BASELINE stream (stochastic).
+(deterministic) or along `pair_gradients` at one uniformly drawn ordered
+pair (i, j), i = j included, from the engine's BASELINE stream (stochastic).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 
 from .analysis import TraceRecord
 from .losses import (Dataset, PairwiseLoss, full_gradient, full_objective,
-                     loss_grad, param_shape)
+                     pair_gradients, param_shape)
 from .regularizers import Regularizer, prox_psi, psi_value
 from .sync_gossip import ALL_NODES, EngineConfig, GossipState, dual_average, run_gossip
 
@@ -23,16 +23,16 @@ def deterministic_step(state: GossipState, t: int, cfg: EngineConfig,
                        rng_edge: np.random.Generator,
                        rng_baseline: np.random.Generator):
     g = full_gradient(state.theta[0], cfg.data, cfg.loss)
-    dual_average(state, g, t, cfg)
+    state.theta = dual_average(state.z, state.theta_bar, g, t, t, cfg)
     return g, ALL_NODES, t
 
 
 def stochastic_step(state: GossipState, t: int, cfg: EngineConfig,
                     rng_edge: np.random.Generator,
                     rng_baseline: np.random.Generator):
-    i, j = rng_baseline.integers(cfg.data.n, size=2)
-    g = loss_grad(cfg.loss, state.theta[0], cfg.data.point(i), cfg.data.point(j))
-    dual_average(state, g, t, cfg)
+    ij = rng_baseline.integers(cfg.data.n, size=2)
+    g = pair_gradients(cfg.loss, state.theta, cfg.data, ij[:1], ij[1:])
+    state.theta = dual_average(state.z, state.theta_bar, g, t, t, cfg)
     return g, ALL_NODES, t
 
 

@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import centralized, datasets, graphs
-from .analysis import BoundInputs, TraceRecord, bound_constants, write_trace
+from .analysis import (BoundInputs, TraceRecord, atomic_write, bound_constants,
+                       write_trace)
 from .async_gossip import AsyncRunConfig, run_async
 from .losses import Dataset, PairwiseLoss, loss_lipschitz
 from .regularizers import Regularizer, StepSchedule
@@ -57,10 +58,13 @@ class RunConfig:
                              f"take none; {self.algorithm} got {self.topology!r}")
         if self.gradient_mode not in GRADIENT_MODES:
             raise ValueError(f"unknown gradient mode: {self.gradient_mode!r}")
-        if self.loss.get("kind") == "metric_hinge":
-            if self.regularizer.get("kind") not in ("psd_indicator", "zero"):
-                raise ValueError("metric_hinge pairs with the psd_indicator or "
-                                 "zero regularizer (matrix parameter)")
+        loss_kind, reg_kind = self.loss.get("kind"), self.regularizer.get("kind")
+        if loss_kind == "metric_hinge" and reg_kind not in ("psd_indicator", "zero"):
+            raise ValueError("metric_hinge pairs with the psd_indicator or "
+                             "zero regularizer (matrix parameter)")
+        if loss_kind == "auc_logistic" and reg_kind == "psd_indicator":
+            raise ValueError("psd_indicator applies to matrix parameters; "
+                             "auc_logistic has a vector parameter")
         if self.T < 0 or self.checkpoint_stride < 1:
             raise ValueError("invalid T or checkpoint stride")
 
@@ -75,9 +79,13 @@ class RunConfig:
         return cls(**doc)
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.__dict__, fh, indent=2)
-            fh.write("\n")
+        _write_json(self.__dict__, path)
+
+
+def _write_json(doc: dict, path) -> None:
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def build_graph(spec: dict, seed: int) -> graphs.Graph:
@@ -196,9 +204,7 @@ def run_experiment(config_path, out_dir=None, seed_override: int | None = None) 
     records = execute(prep)
     elapsed = time.monotonic() - start
     write_trace(records, out / "trace.csv")
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summarize(prep, records, elapsed), fh, indent=2)
-        fh.write("\n")
+    _write_json(summarize(prep, records, elapsed), out / "summary.json")
     return out
 
 
@@ -220,11 +226,9 @@ def compare_baseline(config_path, out_dir=None, seed_override: int | None = None
         finals[mode] = records[-1].obj_mean
     rel = (abs(finals["gossip"] - finals["unbiased_baseline"])
            / max(abs(finals["unbiased_baseline"]), 1e-300))
-    with open(out / "compare.json", "w") as fh:
-        json.dump({"final_obj_gossip": finals["gossip"],
-                   "final_obj_unbiased_baseline": finals["unbiased_baseline"],
-                   "final_obj_relative_difference": rel}, fh, indent=2)
-        fh.write("\n")
+    _write_json({"final_obj_gossip": finals["gossip"],
+                "final_obj_unbiased_baseline": finals["unbiased_baseline"],
+                "final_obj_relative_difference": rel}, out / "compare.json")
     return out
 
 

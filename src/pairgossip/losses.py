@@ -15,16 +15,10 @@ matching the 1/n^2 weighting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .regularizers import Regularizer, psi_value
-
-
-class DataPoint(NamedTuple):
-    features: np.ndarray
-    label: int
 
 
 @dataclass(frozen=True)
@@ -53,9 +47,6 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def point(self, i: int) -> DataPoint:
-        return DataPoint(self.features[i], int(self.labels[i]))
-
 
 @dataclass(frozen=True)
 class PairwiseLoss:
@@ -81,22 +72,6 @@ def _check_theta(loss: PairwiseLoss, theta: np.ndarray) -> None:
     if theta.ndim != loss.param_ndim:
         raise ValueError(f"{loss.kind} expects a {loss.param_ndim}-d parameter, "
                          f"got ndim={theta.ndim}")
-
-
-def loss_grad(loss: PairwiseLoss, theta: np.ndarray, p_i: DataPoint, p_j: DataPoint) -> np.ndarray:
-    _check_theta(loss, theta)
-    if loss.kind == "auc_logistic":
-        if p_i.label <= p_j.label:
-            return np.zeros_like(theta)
-        diff = p_j.features - p_i.features
-        s = float(diff @ theta)
-        sigma = 0.5 * (1.0 + np.tanh(0.5 * s))  # overflow-safe logistic
-        return sigma * diff
-    delta = p_i.features - p_j.features
-    ll = p_i.label * p_j.label
-    if 1.0 - ll * (loss.b - float(delta @ theta @ delta)) > 0.0:
-        return float(ll) * np.outer(delta, delta)
-    return np.zeros_like(theta)
 
 
 # Pairwise-kernel temporaries hold about this many float64 elements.
@@ -205,25 +180,24 @@ def mean_partial_gradient(thetas: np.ndarray, data: Dataset,
 
 
 def pair_gradients(loss: PairwiseLoss, theta_stack: np.ndarray, data: Dataset,
-                   partner_idx: np.ndarray) -> np.ndarray:
-    """grad f(theta_k; x_k, x_{partner_idx[k]}) for every node k, stacked.
-
-    Vectorized equivalent of calling loss_grad once per node with its own
-    parameter and its current auxiliary observation.
-    """
+                   own_idx, partner_idx: np.ndarray) -> np.ndarray:
+    """grad f(theta_r; x_{own_idx[r]}, x_{partner_idx[r]}) for every row r of
+    the stack: the pair gradient of every step policy.  A full slice as own_idx
+    pairs row k with x_k without copying the features."""
     x, labels = data.features, data.labels
+    x_own, l_own = x[own_idx], labels[own_idx]
     if loss.kind == "auc_logistic":
-        diffs = x[partner_idx] - x
+        diffs = x[partner_idx] - x_own
         s = np.einsum("kd,kd->k", diffs, theta_stack)
-        gate = (labels > labels[partner_idx]).astype(float)
+        gate = (l_own > labels[partner_idx]).astype(float)
         sig = 0.5 * (1.0 + np.tanh(0.5 * s))
         return (gate * sig)[:, None] * diffs
-    delta = x - x[partner_idx]
-    dist = np.einsum("kd,kde,ke->k", delta, theta_stack, delta)
-    ll = (labels * labels[partner_idx]).astype(float)
+    delta = x_own - x[partner_idx]
+    dist = (delta[:, None] @ theta_stack @ delta[:, :, None])[:, 0, 0]  # only gates the hinge
+    ll = (l_own * labels[partner_idx]).astype(float)
     active = (1.0 - ll * (loss.b - dist)) > 0.0
     w = np.where(active, ll, 0.0)
-    return w[:, None, None] * np.einsum("kd,ke->kde", delta, delta)
+    return delta[:, :, None] * (w[:, None] * delta)[:, None, :]  # w in {-1, 0, 1}: exact
 
 
 def auc_score(theta: np.ndarray, data: Dataset) -> float:

@@ -2,9 +2,9 @@
 
 Each iteration: draw an edge uniformly, average the two endpoints' dual
 accumulators, swap their auxiliary observations, then let nodes take
-dual-averaging steps along their biased partial-gradient estimates.  A step
-policy decides which nodes step and how their gradients are weighted: here
-every node steps each round; `async_gossip` steps only the two endpoints.
+dual-averaging steps along their biased partial-gradient estimates, all with
+`pair_gradients` and `dual_average`.  A step policy picks the rows that step
+and their clock: here every node at t; in `async_gossip` the two endpoints.
 The centralized baselines are policies too, on a single row with no graph
 (`centralized`), so every trace comes from `run_gossip`.
 Runs are deterministic state machines keyed by the config seed; auxiliary
@@ -113,14 +113,16 @@ def gossip_exchange(state: GossipState, g: Graph,
     return i, j
 
 
-def dual_average(state: GossipState, d: np.ndarray, t: int,
-                 cfg: EngineConfig) -> None:
-    """Every row's dual-averaging step at time t, in place: accumulate the
-    directions d, project with gamma(t), average the primal with weight 1/t."""
-    state.z += d
-    state.theta = smoothing_op(cfg.reg, -state.z, t, step_gamma(cfg.sched, t))
-    state.theta_bar *= 1.0 - 1.0 / t
-    state.theta_bar += state.theta / t
+def dual_average(z: np.ndarray, theta_bar: np.ndarray, d: np.ndarray, t: float,
+                 count: float, cfg: EngineConfig) -> np.ndarray:
+    """One dual-averaging step on the rows z, theta_bar, in place: accumulate
+    the directions d, project with gamma(t), average the primal over `count`
+    primals.  Returns the primal."""
+    z += d
+    theta = smoothing_op(cfg.reg, -z, t, step_gamma(cfg.sched, t))
+    theta_bar *= 1.0 - 1.0 / count
+    theta_bar += theta / count
+    return theta
 
 
 def sync_step(state: GossipState, t: int, cfg: SyncRunConfig,
@@ -129,16 +131,16 @@ def sync_step(state: GossipState, t: int, cfg: SyncRunConfig,
     """One synchronous iteration, in place.
 
     After the gossip exchange every node takes a `dual_average` step along
-    its gradient with its post-swap auxiliary.  Returns (applied directions
-    d_k, ALL_NODES, bias index t).
+    its `pair_gradients` row with its post-swap auxiliary.  Returns (applied
+    directions d_k, ALL_NODES, bias index t).
     """
     gossip_exchange(state, cfg.graph, rng_edge)
     if cfg.gradient_mode == "gossip":
         partners = state.y_idx
     else:
         partners = rng_baseline.integers(cfg.data.n, size=cfg.data.n)
-    d = pair_gradients(cfg.loss, state.theta, cfg.data, partners)
-    dual_average(state, d, t, cfg)
+    d = pair_gradients(cfg.loss, state.theta, cfg.data, ALL_NODES, partners)
+    state.theta = dual_average(state.z, state.theta_bar, d, t, t, cfg)
     return d, ALL_NODES, t
 
 
@@ -150,7 +152,8 @@ def run_gossip(cfg: EngineConfig, step, p: np.ndarray,
     `step(state, t, cfg, rng_edge, rng_baseline)` returns the applied rows,
     the nodes they belong to and the time index of the bias oracle; `p` are
     the policy's activation probabilities, one per row of the state.  With
-    local_clocks the records carry the m_k summary columns.
+    local_clocks the records carry the m_k summary columns.  A non-finite dual
+    accumulator stops the run with a ValueError naming t and the first such row.
     """
     rng_edge = stream_rng(cfg.seed, EDGE)
     rng_baseline = stream_rng(cfg.seed, BASELINE)
@@ -166,7 +169,14 @@ def run_gossip(cfg: EngineConfig, step, p: np.ndarray,
         at_checkpoint = t % cfg.checkpoint_stride == 0 or t == cfg.T
         theta_before = (state.theta.copy()
                         if cfg.record_bias and at_checkpoint else None)
-        rows, nodes, t_index = step(state, t, cfg, rng_edge, rng_baseline)
+        try:
+            rows, nodes, t_index = step(state, t, cfg, rng_edge, rng_baseline)
+        except ValueError as exc:  # the prox rejects non-finite input
+            node = next((k for k, z in enumerate(state.z)
+                         if not np.isfinite(z).all()), None)
+            if node is None:
+                raise
+            raise ValueError(f"non-finite dual accumulator at t={t}, node {node}") from exc
         if at_checkpoint:
             bias = (math.nan, math.nan)
             if cfg.record_bias:

@@ -1,25 +1,41 @@
 """Reference formulas that only the tests use.
 
 Each one restates a definition from the paper in its plainest form, so the
-library's vectorized or fused code can be checked against it.  One helper,
+library's vectorized or fused code can be checked against it: `loss_value`
+and `loss_grad` take one ordered pair of points, the scalar reference that
+`losses.pair_gradients` is checked against.  One helper,
 `centralized_iterates`, steps a centralized policy directly, for tests that
 read theta_bar at marks the engine's checkpoint stride cannot express.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from pairgossip.graphs import Graph
-from pairgossip.losses import (DataPoint, Dataset, PairwiseLoss, full_objective,
-                               param_shape)
+from pairgossip.losses import Dataset, PairwiseLoss, full_objective, param_shape
 from pairgossip.regularizers import Regularizer, StepSchedule, psi_value, step_gamma
 from pairgossip.sync_gossip import EngineConfig, GossipState
 
 
-def loss_value(loss: PairwiseLoss, theta: np.ndarray, p_i: DataPoint, p_j: DataPoint) -> float:
-    """f(theta; x_i, x_j) for one ordered pair."""
+class DataPoint(NamedTuple):
+    features: np.ndarray
+    label: int
+
+
+def point(data: Dataset, i: int) -> DataPoint:
+    return DataPoint(data.features[i], int(data.labels[i]))
+
+
+def _check_theta(loss: PairwiseLoss, theta: np.ndarray) -> None:
     if theta.ndim != loss.param_ndim:
         raise ValueError(f"{loss.kind} expects a {loss.param_ndim}-d parameter, "
                          f"got ndim={theta.ndim}")
+
+
+def loss_value(loss: PairwiseLoss, theta: np.ndarray, p_i: DataPoint, p_j: DataPoint) -> float:
+    """f(theta; x_i, x_j) for one ordered pair."""
+    _check_theta(loss, theta)
     if loss.kind == "auc_logistic":
         if p_i.label <= p_j.label:
             return 0.0
@@ -30,14 +46,29 @@ def loss_value(loss: PairwiseLoss, theta: np.ndarray, p_i: DataPoint, p_j: DataP
     return max(0.0, 1.0 - u)
 
 
+def loss_grad(loss: PairwiseLoss, theta: np.ndarray, p_i: DataPoint, p_j: DataPoint) -> np.ndarray:
+    """grad f(theta; x_i, x_j) for one ordered pair."""
+    _check_theta(loss, theta)
+    if loss.kind == "auc_logistic":
+        if p_i.label <= p_j.label:
+            return np.zeros_like(theta)
+        diff = p_j.features - p_i.features
+        s = float(diff @ theta)
+        sigma = 0.5 * (1.0 + np.tanh(0.5 * s))  # overflow-safe logistic
+        return sigma * diff
+    delta = p_i.features - p_j.features
+    ll = p_i.label * p_j.label
+    if 1.0 - ll * (loss.b - float(delta @ theta @ delta)) > 0.0:
+        return float(ll) * np.outer(delta, delta)
+    return np.zeros_like(theta)
+
+
 def exact_partial_gradient(theta: np.ndarray, i: int, data: Dataset,
                            loss: PairwiseLoss) -> np.ndarray:
     """(1/n) sum_j grad f(theta; x_i, x_j): the per-node bias oracle."""
     if not (0 <= i < data.n):
         raise IndexError(f"node index {i} out of range")
-    if theta.ndim != loss.param_ndim:
-        raise ValueError(f"{loss.kind} expects a {loss.param_ndim}-d parameter, "
-                         f"got ndim={theta.ndim}")
+    _check_theta(loss, theta)
     n = data.n
     x, labels = data.features, data.labels
     if loss.kind == "auc_logistic":

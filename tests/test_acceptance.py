@@ -18,14 +18,15 @@ from pairgossip.datasets import SyntheticSpec, gen_gaussian_mixture, gen_two_cla
 from pairgossip.graphs import (Graph, activation_probabilities, complete_graph,
                                cycle_graph, spectral_gap, tensor_with_complete,
                                watts_strogatz_graph)
-from pairgossip.losses import (Dataset, PairwiseLoss, full_objective, loss_grad,
+from pairgossip.losses import (Dataset, PairwiseLoss, full_objective,
                                loss_lipschitz, param_shape)
 from pairgossip.regularizers import (Regularizer, StepSchedule, psi_value,
                                      smoothing_op, step_gamma)
 from pairgossip.sync_gossip import (DATA, EDGE, GossipState, SyncRunConfig, run_sync,
                                     stream_rng)
 
-from oracles import centralized_iterates, deterministic_gap_bound, loss_value
+from oracles import (DataPoint, centralized_iterates, deterministic_gap_bound,
+                     loss_grad, loss_value, point)
 
 AUC = PairwiseLoss("auc_logistic")
 ZERO = Regularizer("zero")
@@ -377,7 +378,6 @@ def test_criterion_9_operator_and_gradient_properties():
         rhs += float(np.sum(ref ** 2)) / (2.0 * step_gamma(SQRT, T))
         regret_ok = regret_ok and lhs / T <= rhs / T + 1e-9
 
-    from pairgossip.losses import DataPoint
     hinge = PairwiseLoss("metric_hinge", b=1.0)
     fd_ok = True
     checked = 0
@@ -420,7 +420,7 @@ def test_criterion_9_operator_and_gradient_properties():
         else:
             m = rng.standard_normal((2, 2))
             theta = 0.5 * (m + m.T)
-        brute = sum(loss_value(loss, theta, data.point(i), data.point(j))
+        brute = sum(loss_value(loss, theta, point(data, i), point(data, j))
                     for i in range(5) for j in range(5)) / 25
         got = full_objective(theta, data, loss, ZERO)
         brute_ok = brute_ok and abs(got - brute) <= 1e-12 * max(1.0, abs(brute))

@@ -9,12 +9,11 @@ from pairgossip.analysis import (ASYNC_COLUMNS, SYNC_COLUMNS, BoundInputs,
                                  objective_per_node, read_trace, write_trace)
 from pairgossip import losses
 from pairgossip.datasets import gen_two_class_gaussians
-from pairgossip.losses import (Dataset, PairwiseLoss, full_objective, loss_grad,
-                               mean_partial_gradient)
+from pairgossip.losses import Dataset, PairwiseLoss, full_objective, mean_partial_gradient
 from pairgossip.regularizers import (Regularizer, StepSchedule, psi_value,
                                      smoothing_op, step_gamma)
 
-from oracles import exact_partial_gradient, loss_value
+from oracles import exact_partial_gradient, loss_grad, loss_value, point
 
 AUC = PairwiseLoss("auc_logistic")
 HINGE = PairwiseLoss("metric_hinge", b=1.0)
@@ -45,7 +44,7 @@ def random_rows(loss, d, scales, rng):
 def pair_loop_objectives(stack, data, loss, reg):
     """R_n at each row, by a double loop over the oracle pair loss."""
     n = data.n
-    return np.array([sum(loss_value(loss, th, data.point(i), data.point(j))
+    return np.array([sum(loss_value(loss, th, point(data, i), point(data, j))
                          for i in range(n) for j in range(n)) / n ** 2
                      + psi_value(reg, th) for th in stack])
 
@@ -116,7 +115,7 @@ class TestBiasSample:
         data = Dataset(features=feats, labels=np.array([1, 1, 1, 1]))
         thetas = np.zeros((4, 2))
         # every applied direction equals grad f(theta; x, x) = 0 = exact
-        applied = np.stack([loss_grad(AUC, thetas[k], data.point(k), data.point(k))
+        applied = np.stack([loss_grad(AUC, thetas[k], point(data, k), point(data, k))
                             for k in range(4)])
         bias, centered = bias_sample(thetas, applied, np.ones(2), data, AUC,
                                      ZERO, SQRT, 3, np.zeros(2))
@@ -138,8 +137,8 @@ class TestBiasSample:
         rng = np.random.default_rng(3)
         data = gen_two_class_gaussians(2, 2, rng, separation=1.0)
         thetas = np.zeros((2, 2))
-        applied = np.stack([loss_grad(AUC, thetas[k], data.point(k),
-                                      data.point(1 - k)) for k in range(2)])
+        applied = np.stack([loss_grad(AUC, thetas[k], point(data, k),
+                                      point(data, 1 - k)) for k in range(2)])
         zbar = applied.mean(axis=0)
         bias, _ = bias_sample(thetas, applied, zbar, data, AUC, ZERO, SQRT,
                               1, None)
@@ -262,6 +261,23 @@ class TestTraceIO:
         path = tmp_path / "trace.csv"
         write_trace(recs, path)
         assert path.read_text().splitlines()[0] == ",".join(ASYNC_COLUMNS)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        class Unprintable(float):
+            def __repr__(self):
+                raise RuntimeError("disk full")
+
+        recs = [self._record(0), self._record(10, obj_mean=Unprintable(0.25))]
+        with pytest.raises(RuntimeError, match="disk full"):
+            write_trace(recs, tmp_path / "trace.csv")
+        assert list(tmp_path.iterdir()) == []
+        # an earlier trace survives a failed rewrite intact
+        write_trace(recs[:1], tmp_path / "trace.csv")
+        before = (tmp_path / "trace.csv").read_bytes()
+        with pytest.raises(RuntimeError):
+            write_trace(recs, tmp_path / "trace.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+        assert (tmp_path / "trace.csv").read_bytes() == before
 
     def test_unix_newlines_and_full_precision(self, tmp_path):
         recs = [self._record(1, obj_mean=1 / 3)]

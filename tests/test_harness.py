@@ -217,11 +217,14 @@ class TestRunExperiment:
             assert rows[0]["obj_mean"] == pytest.approx(want, rel=1e-12)
 
     def test_rejected_config_leaves_no_output_directory(self, tmp_path):
-        path = sync_config(tmp_path, topology={"kind": "cycle", "n": 9})
-        for run in (harness.run_experiment, harness.compare_baseline):
-            with pytest.raises(ValueError):
-                run(path, out_dir=tmp_path / "out" / run.__name__)
-        assert not (tmp_path / "out").exists()
+        for overrides in ({"topology": {"kind": "cycle", "n": 9}},
+                          {"regularizer": {"kind": "psd_indicator"},
+                           "compute_reference": False}):
+            path = sync_config(tmp_path, **overrides)
+            for run in (harness.run_experiment, harness.compare_baseline):
+                with pytest.raises(ValueError):
+                    run(path, out_dir=tmp_path / "out" / run.__name__)
+            assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         path = sync_config(tmp_path)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from pairgossip.datasets import gen_two_class_gaussians
-from pairgossip.losses import (DataPoint, Dataset, PairwiseLoss, auc_score,
-                               full_gradient, full_objective, loss_grad,
-                               loss_lipschitz, pair_gradients)
+from pairgossip.losses import (Dataset, PairwiseLoss, auc_score, full_gradient,
+                               full_objective, loss_lipschitz, pair_gradients)
 from pairgossip.regularizers import Regularizer
+from pairgossip.sync_gossip import ALL_NODES
 
-from oracles import exact_partial_gradient, loss_value
+from oracles import DataPoint, exact_partial_gradient, loss_grad, loss_value, point
 
 AUC = PairwiseLoss("auc_logistic")
 HINGE = PairwiseLoss("metric_hinge", b=1.0)
@@ -27,6 +27,11 @@ def random_theta(loss, d, rng):
         return rng.standard_normal(d)
     m = rng.standard_normal((d, d))
     return 0.5 * (m + m.T)
+
+
+def one_pair_gradient(loss, theta, data, i, j):
+    """grad f(theta; x_i, x_j) from a one-row `pair_gradients` call."""
+    return pair_gradients(loss, theta[None], data, [i], [j])[0]
 
 
 def numeric_grad(f, theta, h=1e-6):
@@ -115,20 +120,23 @@ class TestLossGrad:
                 assert np.linalg.matrix_rank(g, tol=1e-9) == 1
 
     def test_finite_differences(self):
+        """The library kernel, one row at a time, against central differences
+        of the oracle loss."""
         rng = np.random.default_rng(1)
         checked = 0
         while checked < 200:
             loss = AUC if checked % 2 == 0 else HINGE
             d = 3
-            p = DataPoint(rng.standard_normal(d), int(rng.choice([-1, 1])))
-            q = DataPoint(rng.standard_normal(d), int(rng.choice([-1, 1])))
+            data = Dataset(features=rng.standard_normal((2, d)),
+                           labels=rng.choice([-1, 1], size=2))
+            p, q = point(data, 0), point(data, 1)
             theta = random_theta(loss, d, rng)
             if loss.kind == "metric_hinge":
                 delta = p.features - q.features
                 margin = 1.0 - p.label * q.label * (loss.b - delta @ theta @ delta)
                 if abs(margin) < 1e-4:  # skip the kink band
                     continue
-            g = loss_grad(loss, theta, p, q)
+            g = one_pair_gradient(loss, theta, data, 0, 1)
             num = numeric_grad(lambda th: loss_value(loss, th, p, q), theta)
             scale = max(np.linalg.norm(num), 1e-8)
             assert np.linalg.norm(g - num) / scale < 1e-4
@@ -174,7 +182,7 @@ class TestFullObjective:
                 total = 0.0
                 for i in range(5):
                     for j in range(5):
-                        total += loss_value(loss, theta, data.point(i), data.point(j))
+                        total += loss_value(loss, theta, point(data, i), point(data, j))
                 expect = total / 25
                 got = full_objective(theta, data, loss, ZERO)
                 assert got == pytest.approx(expect, rel=1e-12, abs=1e-14)
@@ -185,7 +193,7 @@ class TestFullObjective:
         for loss in (AUC, HINGE):
             theta = random_theta(loss, 2, rng)
             for i in range(6):
-                assert loss_value(loss, theta, data.point(i), data.point(i)) == 0.0
+                assert loss_value(loss, theta, point(data, i), point(data, i)) == 0.0
 
 
 class TestFullGradient:
@@ -198,7 +206,7 @@ class TestFullGradient:
                 acc = np.zeros_like(theta)
                 for i in range(5):
                     for j in range(5):
-                        acc += loss_grad(loss, theta, data.point(i), data.point(j))
+                        acc += loss_grad(loss, theta, point(data, i), point(data, j))
                 assert np.allclose(full_gradient(theta, data, loss), acc / 25,
                                    atol=1e-12)
 
@@ -217,7 +225,7 @@ class TestExactPartialGradient:
                 data = random_dataset(4, 3, rng)
                 theta = random_theta(loss, 3, rng)
                 for i in range(4):
-                    acc = sum(loss_grad(loss, theta, data.point(i), data.point(j))
+                    acc = sum(loss_grad(loss, theta, point(data, i), point(data, j))
                               for j in range(4))
                     assert np.allclose(
                         exact_partial_gradient(theta, i, data, loss), acc / 4,
@@ -231,17 +239,34 @@ class TestExactPartialGradient:
 
 
 class TestPairGradients:
+    @staticmethod
+    def check_rows(loss, data, stack, own, partners):
+        got = pair_gradients(loss, stack, data, own, partners)
+        assert got.shape == stack.shape
+        own = np.arange(data.n)[own]
+        for r in range(len(stack)):
+            expect = loss_grad(loss, stack[r], point(data, int(own[r])),
+                               point(data, int(partners[r])))
+            assert np.allclose(got[r], expect, atol=1e-12)
+
     def test_matches_per_node_calls(self):
+        """Every node (the synchronous call), an endpoint pair (the
+        asynchronous call) and one row whose own index is not its row number
+        (the centralized stochastic call), against the scalar oracle; the
+        hinge also at the paper's d = 40, with active and inactive rows."""
         rng = np.random.default_rng(9)
-        for loss in (AUC, HINGE):
-            data = random_dataset(7, 3, rng)
-            stack = np.stack([random_theta(loss, 3, rng) for _ in range(7)])
-            partners = rng.integers(7, size=7)
-            got = pair_gradients(loss, stack, data, partners)
-            for k in range(7):
-                expect = loss_grad(loss, stack[k], data.point(k),
-                                   data.point(int(partners[k])))
-                assert np.allclose(got[k], expect, atol=1e-12)
+        for loss, d in ((AUC, 3), (HINGE, 3), (HINGE, 40)):
+            data = random_dataset(9, d, rng)
+            stack = np.stack([random_theta(loss, d, rng) / d for _ in range(9)])
+            partners = rng.integers(9, size=9)
+            self.check_rows(loss, data, stack, ALL_NODES, partners)
+            ends = np.array([5, 2])
+            self.check_rows(loss, data, stack[ends], ends, partners[:2])
+            self.check_rows(loss, data, stack[:1], np.array([4]), np.array([1]))
+            if d == 40:
+                got = pair_gradients(loss, stack, data, ALL_NODES, partners)
+                active = np.any(got != 0.0, axis=(1, 2))
+                assert active.any() and not active.all()
 
 
 class TestAucScore:
@@ -288,7 +313,7 @@ class TestLipschitz:
         for _ in range(300):
             theta = rng.standard_normal(3) * rng.uniform(0.1, 10)
             i, j = rng.integers(8, size=2)
-            g = loss_grad(AUC, theta, data.point(i), data.point(j))
+            g = one_pair_gradient(AUC, theta, data, i, j)
             assert np.linalg.norm(g) <= L + 1e-12
 
     def test_hinge_gradient_bounded(self):
@@ -298,5 +323,5 @@ class TestLipschitz:
         for _ in range(300):
             theta = random_theta(HINGE, 3, rng)
             i, j = rng.integers(8, size=2)
-            g = loss_grad(HINGE, theta, data.point(i), data.point(j))
+            g = one_pair_gradient(HINGE, theta, data, i, j)
             assert np.linalg.norm(g) <= L + 1e-12

@@ -3,10 +3,12 @@ import pytest
 
 from pairgossip.datasets import gen_two_class_gaussians
 from pairgossip.graphs import Graph, complete_graph, cycle_graph
-from pairgossip.losses import Dataset, PairwiseLoss, loss_grad, param_shape
+from pairgossip.losses import Dataset, PairwiseLoss, param_shape
 from pairgossip.regularizers import Regularizer, StepSchedule
 from pairgossip.sync_gossip import (GossipState, SyncRunConfig, run_sync,
                                     sync_step)
+
+from oracles import loss_grad, point
 
 AUC = PairwiseLoss("auc_logistic")
 ZERO = Regularizer("zero")
@@ -55,8 +57,8 @@ class TestSyncStep:
         sync_step(state, 1, cfg, rng)
         # averaging zeros leaves zeros; the swap hands each node the other's
         # point, so z_k = grad f(0; x_k, x_other)
-        g0 = loss_grad(AUC, np.zeros(2), data.point(0), data.point(1))
-        g1 = loss_grad(AUC, np.zeros(2), data.point(1), data.point(0))
+        g0 = loss_grad(AUC, np.zeros(2), point(data, 0), point(data, 1))
+        g1 = loss_grad(AUC, np.zeros(2), point(data, 1), point(data, 0))
         assert np.allclose(state.z[0], g0, atol=1e-15)
         assert np.allclose(state.z[1], g1, atol=1e-15)
         assert list(state.y_idx) == [1, 0]
