@@ -122,8 +122,7 @@ class PreparedRun:
     reg: Regularizer
     sched: StepSchedule
     graph: graphs.Graph | None
-    theta_star: np.ndarray | None
-    r_star: float | None
+    reference: centralized.Reference | None
 
 
 def prepare(cfg: RunConfig) -> PreparedRun:
@@ -134,17 +133,17 @@ def prepare(cfg: RunConfig) -> PreparedRun:
     graph = build_graph(cfg.topology, cfg.seed) if cfg.topology is not None else None
     if graph is not None and graph.n != data.n:
         raise ValueError(f"dataset size {data.n} != node count {graph.n}")
-    theta_star = r_star = None
-    if cfg.compute_reference:
-        theta_star, r_star = centralized.solve_reference(data, loss, reg)
-    return PreparedRun(cfg, data, loss, reg, sched, graph, theta_star, r_star)
+    reference = (centralized.solve_reference(data, loss, reg)
+                 if cfg.compute_reference else None)
+    return PreparedRun(cfg, data, loss, reg, sched, graph, reference)
 
 
 def execute(prep: PreparedRun) -> list[TraceRecord]:
-    cfg = prep.cfg
+    cfg, ref = prep.cfg, prep.reference
+    theta_star, r_star = (None, None) if ref is None else (ref.theta, ref.value)
     shared = dict(data=prep.data, loss=prep.loss, reg=prep.reg, sched=prep.sched,
                   T=cfg.T, seed=cfg.seed, checkpoint_stride=cfg.checkpoint_stride,
-                  theta_star=prep.theta_star, r_star=prep.r_star)
+                  theta_star=theta_star, r_star=r_star)
     if cfg.algorithm in GOSSIP_ALGORITHMS:
         run_cls, runner = ((SyncRunConfig, run_sync) if cfg.algorithm == "sync"
                            else (AsyncRunConfig, run_async))
@@ -171,6 +170,12 @@ def summarize(prep: PreparedRun, records: list[TraceRecord],
         "final_dual_disagreement": final.dual_disagreement,
         "wall_time_s": elapsed,
     }
+    ref = prep.reference
+    if ref is not None:
+        summary["reference"] = {"iterations": ref.iterations,
+                                "gradients": ref.gradients,
+                                "mapping_norm": ref.mapping_norm,
+                                "step": ref.step, "tolerance": ref.tolerance}
     if prep.graph is not None:
         try:
             gap = graphs.spectral_gap(prep.graph)
@@ -179,9 +184,9 @@ def summarize(prep: PreparedRun, records: list[TraceRecord],
             summary["spectral_gap_reason"] = str(exc)
             return summary
         summary["spectral_gap"] = gap
-        if prep.theta_star is not None and prep.cfg.T >= 2:
+        if ref is not None and prep.cfg.T >= 2:
             c1, c2 = bound_constants(BoundInputs(
-                theta_star_norm=float(np.linalg.norm(prep.theta_star)),
+                theta_star_norm=float(np.linalg.norm(ref.theta)),
                 L_f=loss_lipschitz(prep.loss, prep.data),
                 sched=prep.sched, T=prep.cfg.T, spectral_gap=gap))
             summary["bound_c1"] = c1

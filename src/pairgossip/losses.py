@@ -79,12 +79,19 @@ _CHUNK = 2 ** 15
 _SAFE_SCORE = 350.0  # |s| < 350 keeps e^(-s_i), e^(s_j) and their product in e^(+-700)
 
 
+def _signed_features(data: Dataset) -> np.ndarray:
+    """x_k scaled by -l_k: its score u = -s_i on a positive point i and s_j on a
+    negative point j (s = x theta), so that s_j - s_i = u_i + u_j and every AUC
+    pair term factors through e^(u_i) e^(u_j)."""
+    return data.features * -data.labels[:, None]
+
+
 def _auc_loss_sums(thetas: np.ndarray, data: Dataset) -> np.ndarray:
     """sum_{positive i, negative j} log(1 + e^(s_j - s_i)), s = x theta, per row
     of a stack, in chunks of rows scored by one GEMM: exp-factorised (one log1p
     of e^(-s_i) e^(s_j) per pair) while every |s| < _SAFE_SCORE, else logaddexp."""
     pos, neg = data.labels == 1, data.labels == -1
-    signed = data.features * -data.labels[:, None]  # scores -s_i and s_j
+    signed = _signed_features(data)
     step = max(1, 4 * _CHUNK // data.n ** 2)  # a row has at most n^2 / 4 pairs
     sums = np.empty(len(thetas))
     for c in range(0, len(thetas), step):
@@ -136,12 +143,20 @@ def full_objective(theta: np.ndarray, data: Dataset, loss: PairwiseLoss,
 
 
 def full_gradient(theta: np.ndarray, data: Dataset, loss: PairwiseLoss) -> np.ndarray:
-    """Exact gradient of the (1/n^2) double-sum loss term."""
+    """Exact gradient of the (1/n^2) double-sum loss term.  AUC takes
+    sigma(s_j - s_i) = 1 / (1 + e^(-u_i) e^(-u_j)) from n exps and one outer
+    product while every |u| < _SAFE_SCORE, else from tanh on every pair."""
     _check_theta(loss, theta)
     n, x = data.n, data.features
     if loss.kind == "auc_logistic":
-        s, pos = x @ theta, data.labels == 1
-        sig = 0.5 * (1.0 + np.tanh(0.5 * (s[~pos] - s[pos][:, None])))  # sigma(s_j - s_i)
+        u, pos = _signed_features(data) @ theta, data.labels == 1
+        if np.abs(u).max() < _SAFE_SCORE:
+            e = np.exp(-u)
+            sig = np.multiply.outer(e[pos], e[~pos])
+            sig += 1.0
+            np.reciprocal(sig, out=sig)
+        else:
+            sig = 0.5 * (1.0 + np.tanh(0.5 * (u[~pos] + u[pos][:, None])))
         return (sig.sum(axis=0) @ x[~pos] - sig.sum(axis=1) @ x[pos]) / n ** 2
     hinge = next(_pair_hinge(theta, data, loss, n))
     w = np.where(hinge > 0.0, np.outer(data.labels, data.labels), 0.0)

@@ -3,7 +3,8 @@
 Each one restates a definition from the paper in its plainest form, so the
 library's vectorized or fused code can be checked against it: `loss_value`
 and `loss_grad` take one ordered pair of points, the scalar reference that
-`losses.pair_gradients` is checked against.  One helper,
+`losses.pair_gradients` is checked against; `auc_full_gradient_tanh` is the
+pairwise form that `losses.full_gradient` factorises.  One helper,
 `centralized_iterates`, steps a centralized policy directly, for tests that
 read theta_bar at marks the engine's checkpoint stride cannot express.
 """
@@ -87,6 +88,16 @@ def exact_partial_gradient(theta: np.ndarray, i: int, data: Dataset,
     w = np.where(active, ll, 0).astype(float)
     grad = (delta.T * w) @ delta
     return 0.5 * (grad + grad.T) / n
+
+
+def auc_full_gradient_tanh(theta: np.ndarray, data: Dataset) -> np.ndarray:
+    """Exact AUC gradient (1/n^2) sum_{positive i, negative j}
+    sigma(s_j - s_i) (x_j - x_i), with the overflow-safe tanh form of sigma on
+    every pair."""
+    n, x = data.n, data.features
+    s, pos = x @ theta, data.labels == 1
+    sig = 0.5 * (1.0 + np.tanh(0.5 * (s[~pos] - s[pos][:, None])))  # sigma(s_j - s_i)
+    return (sig.sum(axis=0) @ x[~pos] - sig.sum(axis=1) @ x[pos]) / n ** 2
 
 
 def smoothing_objective(reg: Regularizer, z: np.ndarray, t: float, gamma_t: float,

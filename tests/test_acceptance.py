@@ -115,7 +115,8 @@ def test_criterion_2_tensor_expansion_identity():
 def test_criterion_3_centralized_bounds():
     rng = np.random.default_rng(3)
     data = gen_two_class_gaussians(30, 5, rng, separation=0.5)
-    theta_star, r_star = solve_reference(data, AUC, ZERO)
+    ref = solve_reference(data, AUC, ZERO)
+    theta_star, r_star = ref.theta, ref.value
     L = loss_lipschitz(AUC, data)
     norm = float(np.linalg.norm(theta_star))
     marks = [2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000]
@@ -144,7 +145,8 @@ def test_criterion_3_centralized_bounds():
 
 def test_criterion_4_sync_convergence_and_bound():
     data = scaled_toy(20, seed=1)
-    theta_star, r_star = solve_reference(data, AUC, ZERO)
+    ref = solve_reference(data, AUC, ZERO)
+    theta_star, r_star = ref.theta, ref.value
     g = complete_graph(20)
     gap = spectral_gap(g)
     L = loss_lipschitz(AUC, data)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from pairgossip import centralized
 from pairgossip.centralized import (deterministic_step, run_centralized,
                                     solve_reference, stochastic_step)
 from pairgossip.datasets import gen_two_class_gaussians
+from pairgossip.harness import build_dataset
 from pairgossip.losses import (Dataset, PairwiseLoss, full_gradient, full_objective,
                                loss_lipschitz)
-from pairgossip.regularizers import Regularizer, StepSchedule, smoothing_op, step_gamma
+from pairgossip.regularizers import (Regularizer, StepSchedule, prox_psi, smoothing_op,
+                                     step_gamma)
 from pairgossip.sync_gossip import EngineConfig
 
 from oracles import centralized_iterates, deterministic_gap_bound
@@ -75,7 +78,8 @@ class TestRunCentralized:
 
     def test_deterministic_bound_all_checkpoints(self):
         data = toy_data(n=12, d=3, separation=0.5)
-        theta_star, r_star = solve_reference(data, AUC, ZERO)
+        ref = solve_reference(data, AUC, ZERO)
+        theta_star, r_star = ref.theta, ref.value
         sched = StepSchedule("inv_sqrt", c=1.0)
         marks = [2, 5, 10, 50, 200, 1000]
         trace = centralized_iterates(deterministic_step, data, AUC, ZERO, sched,
@@ -88,7 +92,8 @@ class TestRunCentralized:
 
     def test_bounded_domain_schedule_rate(self):
         data = toy_data(n=12, d=3, separation=0.5)
-        theta_star, r_star = solve_reference(data, AUC, ZERO)
+        ref = solve_reference(data, AUC, ZERO)
+        theta_star, r_star = ref.theta, ref.value
         L = loss_lipschitz(AUC, data)
         D = 2.0 * float(np.linalg.norm(theta_star)) + 1.0
         sched = StepSchedule("bounded_domain", D=D, L_f=L)
@@ -103,7 +108,8 @@ class TestSolveReference:
         data = Dataset(features=np.arange(8.0).reshape(4, 2),
                        labels=np.array([1, 1, 1, 1]))
         reg = Regularizer("squared_l2", lam=0.3)
-        theta, obj = solve_reference(data, AUC, reg)
+        ref = solve_reference(data, AUC, reg)
+        theta, obj = ref.theta, ref.value
         assert np.allclose(theta, 0.0, atol=1e-6)
         assert obj == pytest.approx(0.0, abs=1e-10)
 
@@ -113,7 +119,8 @@ class TestSolveReference:
         # against a dense grid scan
         rng = np.random.default_rng(1)
         data = gen_two_class_gaussians(10, 1, rng, separation=0.3)
-        theta, obj = solve_reference(data, AUC, ZERO)
+        ref = solve_reference(data, AUC, ZERO)
+        theta, obj = ref.theta, ref.value
         grid = np.linspace(theta[0] - 1.0, theta[0] + 1.0, 2001)
         vals = [full_objective(np.array([g]), data, AUC, ZERO) for g in grid]
         assert obj <= min(vals) + 1e-8
@@ -123,10 +130,41 @@ class TestSolveReference:
         labels = np.array([1, 1, 1, 1])
         data = Dataset(features=feats, labels=labels)
         hinge = PairwiseLoss("metric_hinge", b=1.0)
-        theta, obj = solve_reference(data, hinge, Regularizer("psd_indicator"))
+        obj = solve_reference(data, hinge, Regularizer("psd_indicator")).value
         assert obj == pytest.approx(0.0, abs=1e-10)
 
     def test_iteration_cap_raises(self):
         data = toy_data(n=10, d=2, separation=0.4)
         with pytest.raises(RuntimeError):
             solve_reference(data, AUC, ZERO, tolerance=1e-300, max_iter=5)
+
+    @pytest.mark.parametrize("seed", [0, 1606])
+    @pytest.mark.parametrize("reg", [Regularizer("squared_l2", lam=0.01),
+                                     Regularizer("l1", lam=0.01)])
+    def test_certificate_holds_at_theta_star(self, seed, reg):
+        # the solve stops on the mapping at the extrapolated point; recompute
+        # it at the returned theta* with a fresh gradient
+        data = build_dataset({"kind": "toy_auc", "n": 699, "d": 11,
+                              "separation": 1.0}, seed)
+        ref = solve_reference(data, AUC, reg)
+        theta, step = ref.theta, ref.step
+        mapping = np.linalg.norm(
+            theta - prox_psi(reg, theta - step * full_gradient(theta, data, AUC), step)) / step
+        scale = 1.0 + np.linalg.norm(theta)
+        assert ref.mapping_norm * scale <= ref.tolerance
+        assert mapping * scale <= 2.0 * ref.tolerance
+        assert ref.value == full_objective(theta, data, AUC, reg)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 11])
+    def test_separable_harness_data_stays_cheap(self, seed, monkeypatch):
+        # the harness tests' data are separable, so R_n has no finite
+        # minimizer; the solve must still stop after few gradients
+        calls = []
+        gradient = centralized.full_gradient
+        monkeypatch.setattr(centralized, "full_gradient",
+                            lambda *a: calls.append(1) or gradient(*a))
+        data = build_dataset({"kind": "toy_auc", "n": 8, "d": 2,
+                              "separation": 0.8}, seed)
+        ref = solve_reference(data, AUC, ZERO)
+        assert ref.gradients == len(calls) <= 500
+

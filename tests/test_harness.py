@@ -189,6 +189,21 @@ class TestRunExperiment:
         assert summary["spectral_gap"] == pytest.approx(1 / 7)
         assert "bound_c1" in summary and "bound_c2" in summary
 
+    def test_summary_reference_block(self, tmp_path):
+        summaries = {}
+        for compute in (True, False):
+            path = sync_config(tmp_path, T=20, checkpoint_stride=10,
+                               compute_reference=compute)
+            out = harness.run_experiment(path, out_dir=tmp_path / str(compute))
+            summaries[compute] = json.loads((out / "summary.json").read_text())
+        assert "reference" not in summaries[False]
+        ref = summaries[True]["reference"]
+        assert set(ref) == {"iterations", "gradients", "mapping_norm", "step",
+                            "tolerance"}
+        assert 1 <= ref["iterations"] <= ref["gradients"] <= 500
+        assert 0.0 < ref["tolerance"]
+        assert 0.0 <= ref["mapping_norm"] <= ref["tolerance"]
+
     def test_bipartite_graph_writes_complete_summary(self, tmp_path):
         path = sync_config(tmp_path, topology={"kind": "cycle", "n": 8},
                            regularizer={"kind": "squared_l2", "lam": 0.1},

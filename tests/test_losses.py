@@ -7,7 +7,8 @@ from pairgossip.losses import (Dataset, PairwiseLoss, auc_score, full_gradient,
 from pairgossip.regularizers import Regularizer
 from pairgossip.sync_gossip import ALL_NODES
 
-from oracles import DataPoint, exact_partial_gradient, loss_grad, loss_value, point
+from oracles import (DataPoint, auc_full_gradient_tanh, exact_partial_gradient,
+                     loss_grad, loss_value, point)
 
 AUC = PairwiseLoss("auc_logistic")
 HINGE = PairwiseLoss("metric_hinge", b=1.0)
@@ -209,6 +210,27 @@ class TestFullGradient:
                         acc += loss_grad(loss, theta, point(data, i), point(data, j))
                 assert np.allclose(full_gradient(theta, data, loss), acc / 25,
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [0.3, 3.0, 30.0])
+    def test_auc_matches_tanh_oracle(self, scale):
+        # scale 30 puts scores beyond +-350, the exp-factorisation's safe range
+        rng = np.random.default_rng(0)
+        data = gen_two_class_gaussians(699, 11, rng, separation=1.0)
+        theta = scale * rng.standard_normal(11)
+        assert (np.abs(data.features @ theta).max() >= 350.0) == (scale == 30.0)
+        got = full_gradient(theta, data, AUC)
+        want = auc_full_gradient_tanh(theta, data)
+        assert np.all(np.isfinite(got))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("scale", [0.3, 3.0])
+    def test_auc_finite_differences(self, scale):
+        rng = np.random.default_rng(10)
+        data = random_dataset(40, 4, rng)
+        theta = scale * rng.standard_normal(4)
+        num = numeric_grad(lambda th: full_objective(th, data, AUC, ZERO), theta)
+        got = full_gradient(theta, data, AUC)
+        assert np.linalg.norm(got - num) <= 1e-7 * np.linalg.norm(num)
 
 
 class TestExactPartialGradient:
