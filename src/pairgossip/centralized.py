@@ -41,8 +41,6 @@ def stochastic_step(state: GossipState, t: int, cfg: EngineConfig,
 def run_centralized(cfg: EngineConfig, step) -> list[TraceRecord]:
     """Run T steps of `deterministic_step` or `stochastic_step` on one row;
     its records carry no bias terms."""
-    if cfg.record_bias:
-        raise ValueError("the bias oracle is per node; set record_bias=False")
     return run_gossip(cfg, step, np.ones(1))
 
 

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import datasets, graphs, harness
-from .sync_gossip import DATA, stream_rng
+from .sync_gossip import DATA, TOPOLOGY, stream_rng
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -74,7 +74,7 @@ def _cmd_spectral_gap(args) -> int:
         return 2
     spec = {"kind": args.kind, "n": args.n, "k": args.k, "p": args.p,
             "path": args.path}
-    g = harness.build_graph(spec, args.seed)
+    g = graphs.build_topology(spec, stream_rng(args.seed, TOPOLOGY))
     if args.tensor_k is not None:
         g = graphs.tensor_with_complete(g, args.tensor_k)
     print(f"{graphs.spectral_gap(g):.5e}")

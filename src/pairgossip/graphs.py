@@ -157,13 +157,17 @@ def watts_strogatz_graph(n: int, k: int, p: float, rng: np.random.Generator) -> 
         f"{WATTS_STROGATZ_MAX_RETRIES} attempts (n={n}, k={k}, p={p})")
 
 
-def build_topology(kind: str, n: int, ws_params: tuple[int, float] | None = None,
-                   rng: np.random.Generator | None = None) -> Graph:
-    """Construct a named communication topology.
+def build_topology(spec: dict, rng: np.random.Generator) -> Graph:
+    """Construct the communication graph of a topology spec.
 
-    kind is one of "complete", "cycle", "watts_strogatz"; the latter needs
-    ws_params = (k, p) and a seeded rng.
+    spec["kind"] is "complete", "cycle" or "watts_strogatz" on spec["n"]
+    nodes (the latter rewires with mean degree spec["k"] and probability
+    spec["p"], drawing from rng), or "file" for the edge list at spec["path"].
     """
+    kind = spec["kind"]
+    if kind == "file":
+        return read_edgelist(spec["path"])
+    n = spec["n"]
     if n < 3:
         raise ValueError(f"need at least 3 nodes, got {n}")
     if kind == "complete":
@@ -171,12 +175,7 @@ def build_topology(kind: str, n: int, ws_params: tuple[int, float] | None = None
     if kind == "cycle":
         return cycle_graph(n)
     if kind == "watts_strogatz":
-        if ws_params is None:
-            raise ValueError("watts_strogatz requires ws_params=(k, p)")
-        if rng is None:
-            raise ValueError("watts_strogatz requires a seeded rng")
-        k, p = ws_params
-        return watts_strogatz_graph(n, k, p, rng)
+        return watts_strogatz_graph(n, spec["k"], spec["p"], rng)
     raise ValueError(f"unknown topology kind: {kind!r}")
 
 

@@ -78,23 +78,11 @@ class RunConfig:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**doc)
 
-    def to_json(self, path) -> None:
-        _write_json(self.__dict__, path)
-
 
 def _write_json(doc: dict, path) -> None:
     with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def build_graph(spec: dict, seed: int) -> graphs.Graph:
-    kind = spec["kind"]
-    if kind == "file":
-        return graphs.read_edgelist(spec["path"])
-    rng = stream_rng(seed, TOPOLOGY)
-    ws = (spec["k"], spec["p"]) if kind == "watts_strogatz" else None
-    return graphs.build_topology(kind, spec["n"], ws_params=ws, rng=rng)
 
 
 def build_dataset(spec: dict, seed: int) -> Dataset:
@@ -105,12 +93,11 @@ def build_dataset(spec: dict, seed: int) -> Dataset:
     if kind == "npz":
         with np.load(spec["path"]) as doc:
             return Dataset(features=doc["features"], labels=doc["labels"])
+    params = {k: v for k, v in spec.items() if k != "kind"}
     if kind == "synthetic_mixture":
-        params = {k: v for k, v in spec.items() if k != "kind"}
         return datasets.gen_gaussian_mixture(datasets.SyntheticSpec(**params), rng)
     if kind == "toy_auc":
-        return datasets.gen_two_class_gaussians(
-            spec["n"], spec["d"], rng, separation=spec.get("separation", 1.5))
+        return datasets.gen_two_class_gaussians(rng=rng, **params)
     raise ValueError(f"unknown dataset kind: {kind!r}")
 
 
@@ -130,7 +117,8 @@ def prepare(cfg: RunConfig) -> PreparedRun:
     loss = PairwiseLoss(**cfg.loss)
     reg = Regularizer(**cfg.regularizer)
     sched = StepSchedule(**cfg.schedule)
-    graph = build_graph(cfg.topology, cfg.seed) if cfg.topology is not None else None
+    graph = (graphs.build_topology(cfg.topology, stream_rng(cfg.seed, TOPOLOGY))
+             if cfg.topology is not None else None)
     if graph is not None and graph.n != data.n:
         raise ValueError(f"dataset size {data.n} != node count {graph.n}")
     reference = (centralized.solve_reference(data, loss, reg)
@@ -151,8 +139,7 @@ def execute(prep: PreparedRun) -> list[TraceRecord]:
                               **shared))
     step = (centralized.deterministic_step if cfg.algorithm == "centralized_det"
             else centralized.stochastic_step)
-    return centralized.run_centralized(EngineConfig(record_bias=False, **shared),
-                                       step)
+    return centralized.run_centralized(EngineConfig(**shared), step)
 
 
 def summarize(prep: PreparedRun, records: list[TraceRecord],

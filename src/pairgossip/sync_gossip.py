@@ -54,7 +54,6 @@ class EngineConfig:
     checkpoint_stride: int = 1000
     theta_star: np.ndarray | None = None
     r_star: float | None = None
-    record_bias: bool = True
 
     def __post_init__(self):
         if self.T < 0:
@@ -151,10 +150,12 @@ def run_gossip(cfg: EngineConfig, step, p: np.ndarray,
 
     `step(state, t, cfg, rng_edge, rng_baseline)` returns the applied rows,
     the nodes they belong to and the time index of the bias oracle; `p` are
-    the policy's activation probabilities, one per row of the state.  With
-    local_clocks the records carry the m_k summary columns.  A non-finite dual
-    accumulator stops the run with a ValueError naming t and the first such row.
+    the policy's activation probabilities, one per row of the state.  Only
+    gossip runs (a `SyncRunConfig`) sample the bias.  With local_clocks the
+    records carry the m_k summary columns.  A non-finite dual accumulator
+    stops the run with a ValueError naming t and the first such row.
     """
+    record_bias = isinstance(cfg, SyncRunConfig)
     rng_edge = stream_rng(cfg.seed, EDGE)
     rng_baseline = stream_rng(cfg.seed, BASELINE)
     state = GossipState.initial(len(p), param_shape(cfg.loss, cfg.data), p)
@@ -168,7 +169,7 @@ def run_gossip(cfg: EngineConfig, step, p: np.ndarray,
     for t in range(1, cfg.T + 1):
         at_checkpoint = t % cfg.checkpoint_stride == 0 or t == cfg.T
         theta_before = (state.theta.copy()
-                        if cfg.record_bias and at_checkpoint else None)
+                        if record_bias and at_checkpoint else None)
         try:
             rows, nodes, t_index = step(state, t, cfg, rng_edge, rng_baseline)
         except ValueError as exc:  # the prox rejects non-finite input
@@ -179,7 +180,7 @@ def run_gossip(cfg: EngineConfig, step, p: np.ndarray,
             raise ValueError(f"non-finite dual accumulator at t={t}, node {node}") from exc
         if at_checkpoint:
             bias = (math.nan, math.nan)
-            if cfg.record_bias:
+            if record_bias:
                 applied = np.zeros_like(state.z)
                 applied[nodes] = rows
                 bias = bias_sample(theta_before, applied, state.z.mean(axis=0),

@@ -136,7 +136,7 @@ def centralized_iterates(step, data: Dataset, loss: PairwiseLoss, reg: Regulariz
     """(t, theta_bar, R_n(theta_bar)) at each mark t of a centralized policy,
     stepped directly on a one-row engine state with `rng` as its pair stream."""
     cfg = EngineConfig(data=data, loss=loss, reg=reg, sched=sched, T=max(marks),
-                       seed=0, record_bias=False)
+                       seed=0)
     state = GossipState.initial(1, param_shape(loss, data), np.ones(1))
     out = []
     for t in range(1, cfg.T + 1):

@@ -191,8 +191,7 @@ def test_criterion_5_topology_ordering():
     stats = {}
     for name, g in graphs.items():
         finals = [quiet_sync(graph=g, data=data, loss=AUC, reg=ZERO, sched=SQRT,
-                             T=T, seed=seed, checkpoint_stride=T,
-                             record_bias=False)[-1].obj_mean
+                             T=T, seed=seed, checkpoint_stride=T)[-1].obj_mean
                   for seed in range(20)]
         f = np.array(finals)
         stats[name] = (f.mean(), f.std(ddof=1) / np.sqrt(20))
@@ -241,7 +240,7 @@ def test_criterion_7_unbiased_baseline_equivalence():
     for mode in ("gossip", "unbiased_baseline"):
         finals[mode] = np.mean([
             quiet_sync(graph=g, data=data, loss=AUC, reg=ZERO, sched=SQRT,
-                       T=T, seed=seed, checkpoint_stride=T, record_bias=False,
+                       T=T, seed=seed, checkpoint_stride=T,
                        gradient_mode=mode)[-1].obj_mean
             for seed in range(20)])
     rel = abs(finals["gossip"] - finals["unbiased_baseline"]) / finals["unbiased_baseline"]
@@ -263,7 +262,7 @@ def test_criterion_8_async_consistency():
             warnings.simplefilter("ignore")
             cfg = AsyncRunConfig(graph=ws10, data=data10, loss=AUC, reg=ZERO,
                                  sched=poly, T=T_m, seed=seed,
-                                 checkpoint_stride=T_m, record_bias=False)
+                                 checkpoint_stride=T_m)
         state = GossipState.initial(10, param_shape(AUC, data10), p)
         rng = stream_rng(seed, EDGE)
         for t in range(1, T_m + 1):
@@ -276,7 +275,7 @@ def test_criterion_8_async_consistency():
     data7 = gen_two_class_gaussians(7, 2, np.random.default_rng(1), separation=0.8)
     g7 = complete_graph(7)
     cfg = AsyncRunConfig(graph=g7, data=data7, loss=AUC, reg=ZERO, sched=poly,
-                         T=200, seed=5, checkpoint_stride=200, record_bias=False)
+                         T=200, seed=5, checkpoint_stride=200)
     p7 = activation_probabilities(g7)
     state = GossipState.initial(7, param_shape(AUC, data7), p7)
     rng = stream_rng(5, EDGE)
@@ -298,10 +297,10 @@ def test_criterion_8_async_consistency():
     for seed in range(5):
         sf.append(quiet_sync(graph=g20, data=data20, loss=AUC, reg=ZERO,
                              sched=SQRT, T=T_sync, seed=seed,
-                             checkpoint_stride=T_sync, record_bias=False)[-1].obj_mean)
+                             checkpoint_stride=T_sync)[-1].obj_mean)
         af.append(quiet_async(graph=g20, data=data20, loss=AUC, reg=ZERO,
                               sched=SQRT, T=T_async, seed=seed,
-                              checkpoint_stride=T_async, record_bias=False)[-1].obj_mean)
+                              checkpoint_stride=T_async)[-1].obj_mean)
     budget_rel = abs(np.mean(sf) - np.mean(af)) / np.mean(sf)
     budget_ok = budget_rel <= 0.05
 
@@ -312,11 +311,11 @@ def test_criterion_8_async_consistency():
     savings = []
     for seed in range(10):
         target = quiet_sync(graph=ws50, data=data50, loss=AUC, reg=ZERO,
-                            sched=SQRT, T=T_s, seed=seed, checkpoint_stride=T_s,
-                            record_bias=False)[-1].obj_mean
+                            sched=SQRT, T=T_s, seed=seed,
+                            checkpoint_stride=T_s)[-1].obj_mean
         recs = quiet_async(graph=ws50, data=data50, loss=AUC, reg=ZERO,
                            sched=SQRT, T=50_000, seed=seed,
-                           checkpoint_stride=500, record_bias=False)
+                           checkpoint_stride=500)
         hit = next((r.t for r in recs if r.t > 0 and r.obj_mean <= target), None)
         savings.append(math.inf if hit is None else (50 * T_s) / (2 * hit))
     savings_ok = min(savings) >= 5.0
@@ -445,7 +444,7 @@ def test_criterion_10_metric_learning_run():
 
     # re-run stepwise so the per-node averages are available for PSD checks
     cfg = AsyncRunConfig(graph=g, data=data, loss=hinge, reg=reg, sched=sched,
-                         T=T, seed=0, checkpoint_stride=T // 4, record_bias=False)
+                         T=T, seed=0, checkpoint_stride=T // 4)
     p = activation_probabilities(g)
     state = GossipState.initial(200, param_shape(hinge, data), p)
     rng = stream_rng(0, EDGE)

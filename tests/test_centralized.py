@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from pairgossip import centralized
-from pairgossip.centralized import (deterministic_step, run_centralized,
-                                    solve_reference, stochastic_step)
+from pairgossip.centralized import deterministic_step, solve_reference, stochastic_step
 from pairgossip.datasets import gen_two_class_gaussians
 from pairgossip.harness import build_dataset
 from pairgossip.losses import (Dataset, PairwiseLoss, full_gradient, full_objective,
                                loss_lipschitz)
 from pairgossip.regularizers import (Regularizer, StepSchedule, prox_psi, smoothing_op,
                                      step_gamma)
-from pairgossip.sync_gossip import EngineConfig
 
 from oracles import centralized_iterates, deterministic_gap_bound
 
@@ -63,18 +61,6 @@ class TestRunCentralized:
             assert ta == tb
             assert np.array_equal(theta_a, theta_b)
             assert obj_a == obj_b
-
-    def test_rejects_bias_recording(self):
-        # the bias oracle is per node; the check fires before any step runs
-        cfg = EngineConfig(data=toy_data(), loss=AUC, reg=ZERO,
-                           sched=StepSchedule("inv_sqrt"), T=5, seed=0,
-                           record_bias=True)
-
-        def no_step(*args):
-            raise AssertionError("a step ran")
-
-        with pytest.raises(ValueError, match="record_bias"):
-            run_centralized(cfg, no_step)
 
     def test_deterministic_bound_all_checkpoints(self):
         data = toy_data(n=12, d=3, separation=0.5)

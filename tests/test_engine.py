@@ -80,7 +80,7 @@ def make_cfg(policy, mode):
                   checkpoint_stride=100, theta_star=np.array([0.5, -0.25]),
                   r_star=0.3)
     if policy == "centralized":  # mode names the step policy
-        return EngineConfig(sched=INV_SQRT, record_bias=False, **shared)
+        return EngineConfig(sched=INV_SQRT, **shared)
     cls, sched = ((SyncRunConfig, INV_SQRT) if policy == "sync"
                   else (AsyncRunConfig, POLY))
     with warnings.catch_warnings():

@@ -79,18 +79,19 @@ class TestComponents:
 
 class TestTopologies:
     def test_complete_k4(self):
-        g = build_topology("complete", 4)
+        g = build_topology({"kind": "complete", "n": 4}, None)
         assert g.num_edges == 6
         assert all(d == 3 for d in g.degrees)
 
     def test_cycle_c5(self):
-        g = build_topology("cycle", 5)
+        g = build_topology({"kind": "cycle", "n": 5}, None)
         assert g.num_edges == 5
         assert all(d == 2 for d in g.degrees)
 
     def test_watts_strogatz_degree_sum_and_connectivity(self):
         rng = np.random.default_rng(1)
-        g = build_topology("watts_strogatz", 100, ws_params=(5, 0.3), rng=rng)
+        g = build_topology({"kind": "watts_strogatz", "n": 100, "k": 5, "p": 0.3},
+                           rng)
         # odd k rounds down to 4; rewiring preserves the edge count
         assert g.degrees.sum() == 100 * 4
         assert g.is_connected()
@@ -102,11 +103,11 @@ class TestTopologies:
 
     def test_min_size(self):
         with pytest.raises(ValueError):
-            build_topology("complete", 2)
+            build_topology({"kind": "complete", "n": 2}, None)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            build_topology("torus", 10)
+            build_topology({"kind": "torus", "n": 10}, None)
 
 
 class TestLaplacian:
@@ -257,8 +258,9 @@ class TestEdgelistIO:
         g = random_connected_graph(9, rng)
         path = tmp_path / "g.txt"
         write_edgelist(g, path)
-        back = read_edgelist(path)
-        assert back.n == g.n and np.array_equal(back.edges, g.edges)
+        for back in (read_edgelist(path),
+                     build_topology({"kind": "file", "path": str(path)}, None)):
+            assert back.n == g.n and np.array_equal(back.edges, g.edges)
 
     def test_header_format(self, tmp_path):
         g = cycle_graph(3)

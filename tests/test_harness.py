@@ -10,11 +10,12 @@ import pytest
 import pairgossip
 from pairgossip import cli, harness
 from pairgossip.datasets import (SyntheticSpec, gen_gaussian_mixture,
-                                 load_breast_cancer)
+                                 gen_two_class_gaussians, load_breast_cancer)
 from pairgossip.analysis import read_trace
-from pairgossip.graphs import spectral_gap
+from pairgossip.graphs import build_topology, spectral_gap
 from pairgossip.losses import PairwiseLoss, full_objective
 from pairgossip.regularizers import Regularizer
+from pairgossip.sync_gossip import DATA, TOPOLOGY, stream_rng
 
 
 def write_uci_file(path, rows):
@@ -169,6 +170,15 @@ class TestRunConfig:
                 harness.run_experiment(path, out_dir=tmp_path / "out")
         assert solve_calls == []
 
+    def test_toy_auc_keys_are_the_generator_arguments(self, tmp_path, solve_calls):
+        spec = {"kind": "toy_auc", "n": 8, "d": 2}
+        want = gen_two_class_gaussians(8, 2, stream_rng(11, DATA))
+        assert np.array_equal(harness.build_dataset(spec, 11).features, want.features)
+        path = sync_config(tmp_path, dataset=dict(spec, seperation=0.8))
+        with pytest.raises(TypeError, match="seperation"):
+            harness.run_experiment(path, out_dir=tmp_path / "out")
+        assert solve_calls == []
+
     def test_unknown_algorithm(self, tmp_path):
         path = sync_config(tmp_path, algorithm="admm")
         with pytest.raises(ValueError):
@@ -292,7 +302,8 @@ class TestCli:
                          "--k", "4", "--p", "0.3", "--seed", "5"]) == 0
         out = capsys.readouterr().out.strip()
         spec = {"kind": "watts_strogatz", "n": 30, "k": 4, "p": 0.3}
-        assert out == f"{spectral_gap(harness.build_graph(spec, 5)):.5e}"
+        g = build_topology(spec, stream_rng(5, TOPOLOGY))
+        assert out == f"{spectral_gap(g):.5e}"
 
     def test_gen_synthetic_then_run(self, tmp_path, capsys):
         npz = tmp_path / "mix.npz"
