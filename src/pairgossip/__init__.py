@@ -8,7 +8,7 @@ centralized baselines.
 
 from .analysis import (BoundInputs, TraceRecord, bound_constants,
                        dual_disagreement, read_trace, write_trace)
-from .async_gossip import AsyncRunConfig, run_async
+from .async_gossip import run_async
 from .centralized import (deterministic_step, run_centralized, solve_reference,
                           stochastic_step)
 from .datasets import (SyntheticSpec, gen_gaussian_mixture,
@@ -27,7 +27,7 @@ from .sync_gossip import EngineConfig, SyncRunConfig, run_sync
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsyncRunConfig", "BoundInputs", "Dataset", "EngineConfig", "Graph",
+    "BoundInputs", "Dataset", "EngineConfig", "Graph",
     "PairwiseLoss", "Regularizer", "RunConfig", "StepSchedule",
     "SyncRunConfig", "SyntheticSpec", "TraceRecord", "activation_probabilities",
     "auc_score", "bound_constants", "build_topology", "compare_baseline",

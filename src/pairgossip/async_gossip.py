@@ -11,7 +11,6 @@ all through the engine's `pair_gradients` and `dual_average`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,19 +21,7 @@ from .sync_gossip import (GossipState, SyncRunConfig, dual_average,
                           gossip_exchange, run_gossip)
 
 
-@dataclass
-class AsyncRunConfig(SyncRunConfig):
-    """Same fields as the synchronous config; poly schedules match the theory,
-    inv_sqrt is allowed with a warning."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.sched.kind != "poly":
-            warnings.warn("asynchronous theory assumes a poly step schedule; "
-                          f"{self.sched.kind!r} is heuristic", stacklevel=2)
-
-
-def async_step(state: GossipState, t: int, cfg: AsyncRunConfig,
+def async_step(state: GossipState, t: int, cfg: SyncRunConfig,
                rng_edge: np.random.Generator,
                rng_baseline: np.random.Generator | None = None):
     """One asynchronous iteration, in place: the two endpoints take
@@ -57,6 +44,10 @@ def async_step(state: GossipState, t: int, cfg: AsyncRunConfig,
     return d, ends, max(float(state.m[i]), float(state.m[j]), 1.0)
 
 
-def run_async(cfg: AsyncRunConfig) -> list[TraceRecord]:
+def run_async(cfg: SyncRunConfig) -> list[TraceRecord]:
+    """Poly schedules match the theory; any other schedule runs with a warning."""
+    if cfg.sched.kind != "poly":
+        warnings.warn("asynchronous theory assumes a poly step schedule; "
+                      f"{cfg.sched.kind!r} is heuristic", stacklevel=2)
     return run_gossip(cfg, async_step, activation_probabilities(cfg.graph),
                       local_clocks=True)

@@ -41,6 +41,21 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[stream])
 
 
+def check_run(loss: PairwiseLoss, reg: Regularizer, T: int, checkpoint_stride: int,
+              gradient_mode: str = "gossip") -> None:
+    """The run rules, stated once and checked before any data exist: T >= 0, a
+    positive stride, a known gradient mode, psd_indicator only on a matrix."""
+    if T < 0:
+        raise ValueError(f"T must be non-negative, got {T}")
+    if checkpoint_stride < 1:
+        raise ValueError(f"checkpoint stride must be positive, got {checkpoint_stride}")
+    if gradient_mode not in GRADIENT_MODES:
+        raise ValueError(f"unknown gradient mode: {gradient_mode!r}")
+    if reg.kind == "psd_indicator" and loss.param_ndim != 2:
+        raise ValueError(f"psd_indicator applies to matrix parameters; {loss.kind} "
+                         "has a vector parameter")
+
+
 @dataclass(kw_only=True)
 class EngineConfig:
     """The fields every step policy of the engine reads."""
@@ -56,23 +71,22 @@ class EngineConfig:
     r_star: float | None = None
 
     def __post_init__(self):
-        if self.T < 0:
-            raise ValueError("T must be non-negative")
-        if self.checkpoint_stride < 1:
-            raise ValueError("checkpoint stride must be positive")
+        check_run(self.loss, self.reg, self.T, self.checkpoint_stride)
 
 
 @dataclass(kw_only=True)
 class SyncRunConfig(EngineConfig):
+    """The engine fields plus a graph and a gradient mode: the config of both
+    gossip policies, `run_sync` and `async_gossip.run_async`."""
+
     graph: Graph
     gradient_mode: str = "gossip"
 
     def __post_init__(self):
-        super().__post_init__()
+        check_run(self.loss, self.reg, self.T, self.checkpoint_stride,
+                  self.gradient_mode)
         if self.graph.n != self.data.n:
             raise ValueError(f"dataset size {self.data.n} != node count {self.graph.n}")
-        if self.gradient_mode not in GRADIENT_MODES:
-            raise ValueError(f"unknown gradient mode: {self.gradient_mode!r}")
         if not self.graph.is_connected() or self.graph.is_bipartite():
             warnings.warn("convergence guarantees need a connected, non-bipartite "
                           "graph", stacklevel=2)

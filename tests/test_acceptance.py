@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pairgossip.analysis import BoundInputs, bound_constants
-from pairgossip.async_gossip import AsyncRunConfig, async_step, run_async
+from pairgossip.async_gossip import async_step, run_async
 from pairgossip.centralized import deterministic_step, solve_reference, stochastic_step
 from pairgossip.datasets import SyntheticSpec, gen_gaussian_mixture, gen_two_class_gaussians
 from pairgossip.graphs import (Graph, activation_probabilities, complete_graph,
@@ -57,8 +57,7 @@ def quiet_sync(**kw):
 def quiet_async(**kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cfg = AsyncRunConfig(**kw)
-    return run_async(cfg)
+        return run_async(SyncRunConfig(**kw))
 
 
 def test_criterion_1_table_spectral_gaps():
@@ -260,9 +259,9 @@ def test_criterion_8_async_consistency():
     for seed in range(1000):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cfg = AsyncRunConfig(graph=ws10, data=data10, loss=AUC, reg=ZERO,
-                                 sched=poly, T=T_m, seed=seed,
-                                 checkpoint_stride=T_m)
+            cfg = SyncRunConfig(graph=ws10, data=data10, loss=AUC, reg=ZERO,
+                                sched=poly, T=T_m, seed=seed,
+                                checkpoint_stride=T_m)
         state = GossipState.initial(10, param_shape(AUC, data10), p)
         rng = stream_rng(seed, EDGE)
         for t in range(1, T_m + 1):
@@ -274,8 +273,8 @@ def test_criterion_8_async_consistency():
     # (b) theta_bar recursion equals the explicit activation-weighted sum
     data7 = gen_two_class_gaussians(7, 2, np.random.default_rng(1), separation=0.8)
     g7 = complete_graph(7)
-    cfg = AsyncRunConfig(graph=g7, data=data7, loss=AUC, reg=ZERO, sched=poly,
-                         T=200, seed=5, checkpoint_stride=200)
+    cfg = SyncRunConfig(graph=g7, data=data7, loss=AUC, reg=ZERO, sched=poly,
+                        T=200, seed=5, checkpoint_stride=200)
     p7 = activation_probabilities(g7)
     state = GossipState.initial(7, param_shape(AUC, data7), p7)
     rng = stream_rng(5, EDGE)
@@ -443,8 +442,8 @@ def test_criterion_10_metric_learning_run():
     T = 50_000
 
     # re-run stepwise so the per-node averages are available for PSD checks
-    cfg = AsyncRunConfig(graph=g, data=data, loss=hinge, reg=reg, sched=sched,
-                         T=T, seed=0, checkpoint_stride=T // 4)
+    cfg = SyncRunConfig(graph=g, data=data, loss=hinge, reg=reg, sched=sched,
+                        T=T, seed=0, checkpoint_stride=T // 4)
     p = activation_probabilities(g)
     state = GossipState.initial(200, param_shape(hinge, data), p)
     rng = stream_rng(0, EDGE)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pairgossip.async_gossip import AsyncRunConfig, async_step, run_async
+from pairgossip.async_gossip import async_step, run_async
 from pairgossip.datasets import gen_two_class_gaussians
 from pairgossip.graphs import (activation_probabilities, complete_graph,
                                watts_strogatz_graph)
@@ -21,22 +21,23 @@ def toy(n, d=2, seed=0):
 
 
 def make_cfg(graph, data, seed=0, T=100, stride=100, sched=POLY, **kw):
-    return AsyncRunConfig(graph=graph, data=data, loss=AUC, reg=ZERO,
-                          sched=sched, T=T, seed=seed, checkpoint_stride=stride,
-                          **kw)
+    return SyncRunConfig(graph=graph, data=data, loss=AUC, reg=ZERO,
+                         sched=sched, T=T, seed=seed, checkpoint_stride=stride,
+                         **kw)
 
 
 class TestConfig:
     def test_warns_on_non_poly_schedule(self):
-        with pytest.warns(UserWarning):
-            make_cfg(complete_graph(5), toy(5),
-                     sched=StepSchedule("inv_sqrt", c=1.0))
+        cfg = make_cfg(complete_graph(5), toy(5), T=0,
+                       sched=StepSchedule("inv_sqrt", c=1.0))
+        with pytest.warns(UserWarning, match="poly step schedule"):
+            run_async(cfg)
 
     def test_poly_schedule_silent(self):
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            make_cfg(complete_graph(5), toy(5))
+            run_async(make_cfg(complete_graph(5), toy(5), T=0))
 
 
 class TestAsyncStep:

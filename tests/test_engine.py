@@ -18,7 +18,7 @@ import pytest
 
 from pairgossip import async_gossip, sync_gossip
 from pairgossip.analysis import bias_sample
-from pairgossip.async_gossip import AsyncRunConfig, async_step, run_async
+from pairgossip.async_gossip import async_step, run_async
 from pairgossip.centralized import deterministic_step, run_centralized, stochastic_step
 from pairgossip.graphs import Graph, activation_probabilities
 from pairgossip.losses import Dataset, PairwiseLoss, param_shape
@@ -81,11 +81,10 @@ def make_cfg(policy, mode):
                   r_star=0.3)
     if policy == "centralized":  # mode names the step policy
         return EngineConfig(sched=INV_SQRT, **shared)
-    cls, sched = ((SyncRunConfig, INV_SQRT) if policy == "sync"
-                  else (AsyncRunConfig, POLY))
+    sched = INV_SQRT if policy == "sync" else POLY
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return cls(graph=g, sched=sched, gradient_mode=mode, **shared)
+        return SyncRunConfig(graph=g, sched=sched, gradient_mode=mode, **shared)
 
 
 @pytest.mark.parametrize("policy,mode", sorted(RECORDED))

@@ -3,12 +3,13 @@ run as written (shortened to a few steps for the configs)."""
 
 import math
 import re
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from pairgossip import harness
+from pairgossip import cli, harness
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "experiments").glob("*.json"))
@@ -38,3 +39,15 @@ def test_readme_quick_start_runs():
     readme = (ROOT / "README.md").read_text()
     block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_cli_commands_parse():
+    readme = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    commands = [line.strip().replace("$n", "699") for line in readme.splitlines()
+                if line.strip().startswith("python3 -m pairgossip.cli ")]
+    assert len(commands) >= 10
+    for command in commands:
+        try:
+            cli.build_parser().parse_args(shlex.split(command)[3:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +14,11 @@ from pairgossip import cli, harness
 from pairgossip.datasets import (SyntheticSpec, gen_gaussian_mixture,
                                  gen_two_class_gaussians, load_breast_cancer)
 from pairgossip.analysis import read_trace
-from pairgossip.graphs import build_topology, spectral_gap
+from pairgossip.graphs import build_topology, complete_graph, spectral_gap
 from pairgossip.losses import PairwiseLoss, full_objective
-from pairgossip.regularizers import Regularizer
-from pairgossip.sync_gossip import DATA, TOPOLOGY, stream_rng
+from pairgossip.regularizers import Regularizer, StepSchedule
+from pairgossip.sync_gossip import (DATA, TOPOLOGY, EngineConfig, SyncRunConfig,
+                                    stream_rng)
 
 
 def write_uci_file(path, rows):
@@ -137,27 +140,82 @@ def solve_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def dataset_builds(monkeypatch):
+    """Counts the datasets a test generates through the harness."""
+    calls = []
+    build = harness.build_dataset
+    monkeypatch.setattr(harness, "build_dataset",
+                        lambda *a, **kw: calls.append(1) or build(*a, **kw))
+    return calls
+
+
+MIXTURE = {"kind": "synthetic_mixture", "n": 8, "ambient_dim": 4, "classes": 2,
+           "subspace_dim": 2}
+
+# name: (overrides of `sync_config`, the same rule broken through the library
+# configs or None where only the JSON document can be wrong, the rule's message)
+INVALID = {
+    "negative_T": ({"T": -1}, {"T": -1}, "T must be non-negative"),
+    "zero_stride": ({"checkpoint_stride": 0}, {"checkpoint_stride": 0},
+                    "stride must be positive"),
+    "unknown_gradient_mode": ({"gradient_mode": "bogus"},
+                              {"gradient_mode": "bogus"}, "unknown gradient mode"),
+    "psd_indicator_on_a_vector": ({"regularizer": {"kind": "psd_indicator"}},
+                                  {"reg": Regularizer("psd_indicator")},
+                                  "psd_indicator applies to matrix parameters"),
+    "unknown_field": ({"bogus": 1}, None, "unknown config fields"),
+    "unknown_algorithm": ({"algorithm": "admm"}, None, "unknown algorithm"),
+    "gossip_without_topology": ({"topology": None}, None, "need a topology spec"),
+    # a centralized run uses no graph, so it takes no topology either
+    "centralized_with_topology": ({"algorithm": "centralized_det"}, None,
+                                  "need a topology spec"),
+    "hinge_with_reference": ({"dataset": MIXTURE, "loss": {"kind": "metric_hinge"},
+                              "regularizer": {"kind": "psd_indicator"},
+                              "compute_reference": True}, None,
+                             "set compute_reference: false"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID))
+def test_invalid_config_is_refused_before_any_data(case, tmp_path, dataset_builds,
+                                                   solve_calls):
+    overrides, library, message = INVALID[case]
+    path = sync_config(tmp_path, **overrides)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=message):
+        harness.prepare(harness.RunConfig.from_json(path))
+    assert time.monotonic() - start < 1.0
+    assert dataset_builds == [] and solve_calls == []
+    if library is None:
+        return
+    data = gen_two_class_gaussians(8, 2, np.random.default_rng(0))
+    fields = dict(data=data, loss=PairwiseLoss("auc_logistic"), reg=Regularizer("zero"),
+                  sched=StepSchedule("inv_sqrt"), T=10, seed=0) | library
+    with pytest.raises(ValueError, match=message):
+        SyncRunConfig(graph=complete_graph(8), **fields)
+    if "gradient_mode" not in library:  # not an engine field
+        with pytest.raises(ValueError, match=message):
+            EngineConfig(**fields)
+
+
+@pytest.mark.parametrize("case", sorted(INVALID))
+def test_cli_refuses_with_the_rules_message(case, tmp_path, capsys):
+    path = sync_config(tmp_path, **INVALID[case][0])
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run: ") and re.search(INVALID[case][2], err)
+    assert not (tmp_path / "out").exists()
+
+
 class TestRunConfig:
-    def test_rejects_unknown_field(self, tmp_path):
-        path = sync_config(tmp_path, bogus=1)
-        with pytest.raises(ValueError):
-            harness.RunConfig.from_json(path)
-
-    def test_rejects_hinge_with_vector_regularizer(self, tmp_path):
-        path = sync_config(tmp_path, loss={"kind": "metric_hinge"},
-                           regularizer={"kind": "l1", "lam": 0.1})
-        with pytest.raises(ValueError):
-            harness.RunConfig.from_json(path)
-
-    def test_gossip_needs_topology(self, tmp_path):
-        path = sync_config(tmp_path, topology=None)
-        with pytest.raises(ValueError):
-            harness.RunConfig.from_json(path)
-        # a centralized run uses no graph, so it takes no topology either
-        path = sync_config(tmp_path, algorithm="centralized_det",
-                           topology={"kind": "cycle", "n": 9})
-        with pytest.raises(ValueError):
-            harness.RunConfig.from_json(path)
+    def test_hinge_with_vector_regularizer_runs(self, tmp_path):
+        for reg in ({"kind": "l1", "lam": 0.1}, {"kind": "squared_l2", "lam": 0.1}):
+            path = sync_config(tmp_path, loss={"kind": "metric_hinge"}, regularizer=reg,
+                               dataset=MIXTURE, compute_reference=False)
+            out = harness.run_experiment(path, out_dir=tmp_path / reg["kind"])
+            rows = read_trace(out / "trace.csv")
+            assert rows[-1]["obj_mean"] < 0.5 * rows[0]["obj_mean"]
 
     def test_ill_posed_inputs_fail_before_the_reference_solve(self, tmp_path,
                                                               solve_calls):
@@ -178,11 +236,6 @@ class TestRunConfig:
         with pytest.raises(TypeError, match="seperation"):
             harness.run_experiment(path, out_dir=tmp_path / "out")
         assert solve_calls == []
-
-    def test_unknown_algorithm(self, tmp_path):
-        path = sync_config(tmp_path, algorithm="admm")
-        with pytest.raises(ValueError):
-            harness.RunConfig.from_json(path)
 
 
 
@@ -313,13 +366,26 @@ class TestCli:
         path = sync_config(tmp_path, dataset={"kind": "npz", "path": str(npz)},
                            topology={"kind": "complete", "n": 12}, T=50,
                            checkpoint_stride=50)
-        assert cli.main(["run-sync", "--config", str(path), "--out",
+        assert cli.main(["run", "--config", str(path), "--out",
                          str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "trace.csv").exists()
 
-    def test_run_command_algorithm_mismatch(self, tmp_path, capsys):
-        path = sync_config(tmp_path)
-        assert cli.main(["run-async", "--config", str(path)]) == 2
+    def test_run_command_runs_every_algorithm(self, tmp_path):
+        poly = {"kind": "poly", "c": 1.0, "alpha": 0.25}
+        for algo, overrides in (("centralized_det", {"topology": None}),
+                                ("sync", {}), ("async", {"schedule": poly})):
+            path = sync_config(tmp_path, algorithm=algo, T=20, checkpoint_stride=10,
+                               **overrides)
+            assert cli.main(["run", "--config", str(path), "--out",
+                             str(tmp_path / algo)]) == 0
+            summary = json.loads((tmp_path / algo / "summary.json").read_text())
+            assert summary["algorithm"] == algo
+
+    def test_compare_baseline_refuses_a_centralized_config(self, tmp_path, capsys):
+        path = sync_config(tmp_path, algorithm="centralized_det", topology=None)
+        assert cli.main(["compare-baseline", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "compare-baseline: compare-baseline applies to gossip algorithms")
 
     def test_entrypoint_subprocess(self, tmp_path):
         # the child imports the same package as this test, installed or not
