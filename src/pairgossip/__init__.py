@@ -11,8 +11,8 @@ from .analysis import (BoundInputs, TraceRecord, bound_constants,
 from .async_gossip import run_async
 from .centralized import (deterministic_step, run_centralized, solve_reference,
                           stochastic_step)
-from .datasets import (SyntheticSpec, gen_gaussian_mixture,
-                       gen_two_class_gaussians, load_breast_cancer)
+from .datasets import (gen_gaussian_mixture, gen_two_class_gaussians,
+                       load_breast_cancer)
 from .graphs import (Graph, activation_probabilities, build_topology,
                      complete_graph, cycle_graph, read_edgelist, sample_edge,
                      spectral_gap, tensor_with_complete, watts_strogatz_graph,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundInputs", "Dataset", "EngineConfig", "Graph",
     "PairwiseLoss", "Regularizer", "RunConfig", "StepSchedule",
-    "SyncRunConfig", "SyntheticSpec", "TraceRecord", "activation_probabilities",
+    "SyncRunConfig", "TraceRecord", "activation_probabilities",
     "auc_score", "bound_constants", "build_topology", "compare_baseline",
     "complete_graph", "cycle_graph", "deterministic_step", "dual_disagreement",
     "full_gradient", "full_objective",

@@ -1,14 +1,12 @@
 """Dataset loading and synthetic generation.
 
-No downloads happen here: the UCI breast-cancer loader takes a local path to a
-file in the original layout (sample id, 9 integer attributes, class in
-{2, 4}).  Synthetic data generation is fully determined by the supplied seeded
-generator.
+No downloads happen here: each loader takes a local path, to the UCI
+breast-cancer file in its original layout (sample id, 9 integer attributes,
+class in {2, 4}) or to an .npz file.  Synthetic data generation is fully
+determined by the supplied seeded generator.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,41 +55,36 @@ def load_breast_cancer(path) -> Dataset:
     return Dataset(features=features, labels=np.array(labels))
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Gaussian-mixture generator parameters (defaults mirror the simulation
-    setup: 1000 points from 10 Gaussians in R^40, means in a 5-d subspace)."""
-
-    n: int = 1000
-    ambient_dim: int = 40
-    classes: int = 10
-    subspace_dim: int = 5
-    variance_factor: float = 0.25
-
-    def __post_init__(self):
-        if self.n < self.classes or self.classes < 2:
-            raise ValueError("need n >= classes >= 2")
-        if not (1 <= self.subspace_dim <= self.ambient_dim):
-            raise ValueError("subspace_dim must be in [1, ambient_dim]")
-        if self.variance_factor < 0:
-            raise ValueError("variance factor must be non-negative")
+def load_npz(path) -> Dataset:
+    """An .npz file with a `features` and a `labels` array."""
+    with np.load(path) as doc:
+        return Dataset(features=doc["features"], labels=doc["labels"])
 
 
-def gen_gaussian_mixture(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
+def gen_gaussian_mixture(rng: np.random.Generator, n: int = 1000, ambient_dim: int = 40,
+                         classes: int = 10, subspace_dim: int = 5,
+                         variance_factor: float = 0.25) -> Dataset:
     """Balanced mixture with class means in a random linear subspace.
 
-    Binary labels follow class-index parity: even classes are +1, odd -1.
-    The shared isotropic covariance is (variance_factor)^2 I, with unit-scale
-    means, so moderate factors produce overlapping classes.
+    The defaults are the simulation setup: 1000 points from 10 Gaussians in
+    R^40, means in a 5-d subspace.  Binary labels follow class-index parity:
+    even classes are +1, odd -1.  The shared isotropic covariance is
+    (variance_factor)^2 I with unit-scale means; moderate factors overlap the classes.
     """
-    basis, _ = np.linalg.qr(rng.standard_normal((spec.ambient_dim, spec.subspace_dim)))
-    means = rng.standard_normal((spec.classes, spec.subspace_dim)) @ basis.T
-    counts = np.full(spec.classes, spec.n // spec.classes)
-    counts[: spec.n % spec.classes] += 1
+    if n < classes or classes < 2:
+        raise ValueError("need n >= classes >= 2")
+    if not (1 <= subspace_dim <= ambient_dim):
+        raise ValueError("subspace_dim must be in [1, ambient_dim]")
+    if variance_factor < 0:
+        raise ValueError("variance factor must be non-negative")
+    basis, _ = np.linalg.qr(rng.standard_normal((ambient_dim, subspace_dim)))
+    means = rng.standard_normal((classes, subspace_dim)) @ basis.T
+    counts = np.full(classes, n // classes)
+    counts[: n % classes] += 1
     features = []
     labels = []
-    for c in range(spec.classes):
-        noise = spec.variance_factor * rng.standard_normal((counts[c], spec.ambient_dim))
+    for c in range(classes):
+        noise = variance_factor * rng.standard_normal((counts[c], ambient_dim))
         features.append(means[c] + noise)
         labels.extend([1 if c % 2 == 0 else -1] * counts[c])
     return Dataset(features=np.vstack(features), labels=np.array(labels))

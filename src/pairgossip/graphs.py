@@ -92,14 +92,22 @@ class Graph:
         """L = D - A."""
         return np.diag(self.degrees.astype(float)) - self.adjacency()
 
+    @cached_property
+    def _components(self) -> int:
+        return _component_count(self.n, self.edges)
+
+    @cached_property
+    def _cover_components(self) -> int:
+        # the bipartite double cover: edges (i, j+n) and (i+n, j) on 2n nodes
+        cover = np.concatenate([self.edges + [0, self.n], self.edges + [self.n, 0]])
+        return _component_count(2 * self.n, cover)
+
     def is_connected(self) -> bool:
-        return _component_count(self.n, self.edges) == 1
+        return self._components == 1
 
     def is_bipartite(self) -> bool:
-        # A component is bipartite iff it splits into two components of the
-        # bipartite double cover (edges (i, j+n) and (i+n, j) on 2n nodes).
-        cover = np.concatenate([self.edges + [0, self.n], self.edges + [self.n, 0]])
-        return _component_count(2 * self.n, cover) == 2 * _component_count(self.n, self.edges)
+        # a component is bipartite iff it splits in two in the double cover
+        return self._cover_components == 2 * self._components
 
     def is_complete(self) -> bool:
         return self.num_edges == self.n * (self.n - 1) // 2
@@ -155,28 +163,6 @@ def watts_strogatz_graph(n: int, k: int, p: float, rng: np.random.Generator) -> 
     raise RuntimeError(
         f"could not sample a connected Watts-Strogatz graph in "
         f"{WATTS_STROGATZ_MAX_RETRIES} attempts (n={n}, k={k}, p={p})")
-
-
-def build_topology(spec: dict, rng: np.random.Generator) -> Graph:
-    """Construct the communication graph of a topology spec.
-
-    spec["kind"] is "complete", "cycle" or "watts_strogatz" on spec["n"]
-    nodes (the latter rewires with mean degree spec["k"] and probability
-    spec["p"], drawing from rng), or "file" for the edge list at spec["path"].
-    """
-    kind = spec["kind"]
-    if kind == "file":
-        return read_edgelist(spec["path"])
-    n = spec["n"]
-    if n < 3:
-        raise ValueError(f"need at least 3 nodes, got {n}")
-    if kind == "complete":
-        return complete_graph(n)
-    if kind == "cycle":
-        return cycle_graph(n)
-    if kind == "watts_strogatz":
-        return watts_strogatz_graph(n, spec["k"], spec["p"], rng)
-    raise ValueError(f"unknown topology kind: {kind!r}")
 
 
 def spectral_gap(g: Graph) -> float:
@@ -253,6 +239,25 @@ def read_edgelist(path) -> Graph:
             if len(parts) != 2:
                 raise ValueError(f"malformed edge line: {line!r}")
             edges.append((int(parts[0]), int(parts[1])))
-    if len(edges) != m:
-        raise ValueError(f"expected {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    g = Graph.from_edges(n, edges)
+    if len(edges) != m or g.num_edges != m:
+        raise ValueError(f"expected {m} edges, found {len(edges)} ({g.num_edges} distinct)")
+    return g
+
+
+# kind -> builder, called with the spec's other keys (watts_strogatz: and the rng)
+TOPOLOGIES = {"complete": complete_graph, "cycle": cycle_graph,
+              "watts_strogatz": watts_strogatz_graph, "file": read_edgelist}
+
+
+def build_topology(spec: dict, rng: np.random.Generator) -> Graph:
+    """The communication graph of a topology spec: complete, cycle or
+    watts_strogatz (k, p, drawing from rng) on n >= 3 nodes, or a file's."""
+    kind, params = spec["kind"], {k: v for k, v in spec.items() if k != "kind"}
+    if kind not in TOPOLOGIES:
+        raise ValueError(f"unknown topology kind: {kind!r}")
+    if params.get("n", 3) < 3:
+        raise ValueError(f"need at least 3 nodes, got {params['n']}")
+    if kind == "watts_strogatz":
+        params["rng"] = rng
+    return TOPOLOGIES[kind](**params)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 REG_KINDS = ("zero", "squared_l2", "l1", "psd_indicator")
-SCHEDULE_KINDS = ("inv_sqrt", "poly", "bounded_domain")
+SCHEDULE_KINDS = ("inv_sqrt", "poly")
 
 
 @dataclass(frozen=True)
@@ -101,28 +101,23 @@ def smoothing_op(reg: Regularizer, z: np.ndarray, t: float, gamma_t: float) -> n
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Non-increasing scale sequence gamma(t) defined for real t >= 1.
+    """Non-increasing scale sequence gamma(t) for real t >= 1, with c > 0.
 
-    inv_sqrt:       gamma(t) = c / sqrt(t)
-    poly:           gamma(t) = c / t^(1/2 + alpha), alpha in (0, 1/2)
-    bounded_domain: gamma(t) = D / (L_f sqrt(2 t))
+    inv_sqrt: gamma(t) = c / sqrt(t)  (c = D / (L_f sqrt(2)): the bounded-domain step)
+    poly:     gamma(t) = c / t^(1/2 + alpha), alpha in (0, 1/2)
     """
 
     kind: str
     c: float = 1.0
     alpha: float = 0.25
-    D: float = 1.0
-    L_f: float = 1.0
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind: {self.kind!r}")
-        if self.kind in ("inv_sqrt", "poly") and self.c <= 0:
+        if self.c <= 0:
             raise ValueError(f"need c > 0, got {self.c}")
         if self.kind == "poly" and not (0.0 < self.alpha < 0.5):
             raise ValueError(f"poly needs alpha in (0, 1/2), got {self.alpha}")
-        if self.kind == "bounded_domain" and (self.D <= 0 or self.L_f <= 0):
-            raise ValueError("bounded_domain needs D > 0 and L_f > 0")
 
 
 def step_gamma(sched: StepSchedule, t: float) -> float:
@@ -130,6 +125,4 @@ def step_gamma(sched: StepSchedule, t: float) -> float:
         raise ValueError(f"schedule is defined for t >= 1, got {t}")
     if sched.kind == "inv_sqrt":
         return sched.c / math.sqrt(t)
-    if sched.kind == "poly":
-        return sched.c / t ** (0.5 + sched.alpha)
-    return sched.D / (sched.L_f * math.sqrt(2.0 * t))
+    return sched.c / t ** (0.5 + sched.alpha)

@@ -14,7 +14,7 @@ import pytest
 from pairgossip.analysis import BoundInputs, bound_constants
 from pairgossip.async_gossip import async_step, run_async
 from pairgossip.centralized import deterministic_step, solve_reference, stochastic_step
-from pairgossip.datasets import SyntheticSpec, gen_gaussian_mixture, gen_two_class_gaussians
+from pairgossip.datasets import gen_gaussian_mixture, gen_two_class_gaussians
 from pairgossip.graphs import (Graph, activation_probabilities, complete_graph,
                                cycle_graph, spectral_gap, tensor_with_complete,
                                watts_strogatz_graph)
@@ -432,9 +432,8 @@ def test_criterion_9_operator_and_gradient_properties():
 
 
 def test_criterion_10_metric_learning_run():
-    spec = SyntheticSpec(n=200, ambient_dim=40, classes=10, subspace_dim=5,
-                         variance_factor=0.25)
-    data = gen_gaussian_mixture(spec, stream_rng(3, DATA))
+    data = gen_gaussian_mixture(stream_rng(3, DATA), n=200, ambient_dim=40, classes=10,
+                                subspace_dim=5, variance_factor=0.25)
     hinge = PairwiseLoss("metric_hinge", b=4.0)
     reg = Regularizer("psd_indicator")
     sched = StepSchedule("poly", c=3.0, alpha=0.25)

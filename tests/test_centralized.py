@@ -82,7 +82,7 @@ class TestRunCentralized:
         theta_star, r_star = ref.theta, ref.value
         L = loss_lipschitz(AUC, data)
         D = 2.0 * float(np.linalg.norm(theta_star)) + 1.0
-        sched = StepSchedule("bounded_domain", D=D, L_f=L)
+        sched = StepSchedule("inv_sqrt", c=D / (L * np.sqrt(2.0)))
         T = 2000
         [(_, _, objective)] = centralized_iterates(deterministic_step, data, AUC,
                                                    ZERO, sched, [T])

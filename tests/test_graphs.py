@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pairgossip import graphs
 from pairgossip.graphs import (Graph, activation_probabilities, build_topology,
                                complete_graph, cycle_graph, read_edgelist,
                                sample_edge, spectral_gap, tensor_with_complete,
@@ -75,6 +76,17 @@ class TestComponents:
             ref.add_edges_from(pairs)
             assert g.is_connected() == nx.is_connected(ref)
             assert g.is_bipartite() == nx.is_bipartite(ref)
+
+    def test_counts_are_computed_once(self, monkeypatch):
+        calls = []
+        count = graphs._component_count
+        monkeypatch.setattr(graphs, "_component_count",
+                            lambda *a: calls.append(1) or count(*a))
+        g = cycle_graph(9)
+        for _ in range(2):
+            assert g.is_connected() and not g.is_bipartite()
+            spectral_gap(g)
+        assert len(calls) == 2  # the graph's and its double cover's
 
 
 class TestTopologies:
@@ -170,6 +182,10 @@ class TestTensorExpansion:
         t = tensor_with_complete(g, 2)
         assert t.n == 10
         assert t.num_edges == 4 * g.num_edges
+
+    def test_copies_of_a_node_are_not_linked(self):
+        t = tensor_with_complete(cycle_graph(5), 3)
+        assert not np.any(t.edges[:, 0] // 3 == t.edges[:, 1] // 3)
 
     def test_gap_division(self):
         rng = np.random.default_rng(5)
@@ -272,4 +288,10 @@ class TestEdgelistIO:
         path = tmp_path / "bad.txt"
         path.write_text("3 5\n0 1\n")
         with pytest.raises(ValueError):
+            read_edgelist(path)
+
+    def test_rejects_duplicate_edges(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("4 4\n0 1\n1 0\n1 2\n2 3\n")
+        with pytest.raises(ValueError, match="3 distinct"):
             read_edgelist(path)

@@ -11,8 +11,8 @@ import pytest
 
 import pairgossip
 from pairgossip import cli, harness
-from pairgossip.datasets import (SyntheticSpec, gen_gaussian_mixture,
-                                 gen_two_class_gaussians, load_breast_cancer)
+from pairgossip.datasets import (gen_gaussian_mixture, gen_two_class_gaussians,
+                                 load_breast_cancer)
 from pairgossip.analysis import read_trace
 from pairgossip.graphs import build_topology, complete_graph, spectral_gap
 from pairgossip.losses import PairwiseLoss, full_objective
@@ -79,37 +79,37 @@ class TestBreastCancerLoader:
 
 class TestSyntheticMixture:
     def test_shape_and_balance(self):
-        spec = SyntheticSpec(n=100, ambient_dim=12, classes=4, subspace_dim=3,
-                             variance_factor=0.2)
-        data = gen_gaussian_mixture(spec, np.random.default_rng(0))
+        data = gen_gaussian_mixture(np.random.default_rng(0), n=100, ambient_dim=12,
+                                    classes=4, subspace_dim=3, variance_factor=0.2)
         assert data.features.shape == (100, 12)
         assert (data.labels == 1).sum() == 50  # parity rule, balanced classes
 
     def test_zero_variance_collapses_classes(self):
-        spec = SyntheticSpec(n=20, ambient_dim=6, classes=2, subspace_dim=2,
-                             variance_factor=0.0)
-        data = gen_gaussian_mixture(spec, np.random.default_rng(1))
+        data = gen_gaussian_mixture(np.random.default_rng(1), n=20, ambient_dim=6,
+                                    classes=2, subspace_dim=2, variance_factor=0.0)
         first_class = data.features[:10]
         assert np.allclose(first_class, first_class[0])
 
     def test_means_in_subspace(self):
-        spec = SyntheticSpec(n=40, ambient_dim=10, classes=4, subspace_dim=2,
-                             variance_factor=0.0)
-        data = gen_gaussian_mixture(spec, np.random.default_rng(2))
+        data = gen_gaussian_mixture(np.random.default_rng(2), n=40, ambient_dim=10,
+                                    classes=4, subspace_dim=2, variance_factor=0.0)
         means = np.stack([data.features[i * 10] for i in range(4)])
         assert np.linalg.matrix_rank(means, tol=1e-8) <= 2
 
     def test_determinism(self):
-        spec = SyntheticSpec(n=30, ambient_dim=8, classes=3, subspace_dim=2)
-        a = gen_gaussian_mixture(spec, np.random.default_rng(5))
-        b = gen_gaussian_mixture(spec, np.random.default_rng(5))
+        spec = dict(n=30, ambient_dim=8, classes=3, subspace_dim=2)
+        a = gen_gaussian_mixture(np.random.default_rng(5), **spec)
+        b = gen_gaussian_mixture(np.random.default_rng(5), **spec)
         assert np.array_equal(a.features, b.features)
 
     def test_spec_validation(self):
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            SyntheticSpec(n=5, classes=10)
+            gen_gaussian_mixture(rng, n=5, classes=10)
         with pytest.raises(ValueError):
-            SyntheticSpec(subspace_dim=50, ambient_dim=40)
+            gen_gaussian_mixture(rng, subspace_dim=50, ambient_dim=40)
+        with pytest.raises(ValueError):
+            gen_gaussian_mixture(rng, variance_factor=-0.1)
 
 
 def sync_config(tmp_path, **overrides):
@@ -164,7 +164,7 @@ INVALID = {
     "psd_indicator_on_a_vector": ({"regularizer": {"kind": "psd_indicator"}},
                                   {"reg": Regularizer("psd_indicator")},
                                   "psd_indicator applies to matrix parameters"),
-    "unknown_field": ({"bogus": 1}, None, "unknown config fields"),
+    "unknown_field": ({"bogus": 1}, None, "config: .*'bogus'"),
     "unknown_algorithm": ({"algorithm": "admm"}, None, "unknown algorithm"),
     "gossip_without_topology": ({"topology": None}, None, "need a topology spec"),
     # a centralized run uses no graph, so it takes no topology either
@@ -174,6 +174,23 @@ INVALID = {
                               "regularizer": {"kind": "psd_indicator"},
                               "compute_reference": True}, None,
                              "set compute_reference: false"),
+    # an ingredient spec's keys besides kind are its builder's arguments
+    "dataset_misspelled_key": ({"dataset": {"kind": "toy_auc", "n": 8, "d": 2,
+                                            "seperation": 0.8}}, None,
+                               "dataset 'toy_auc': .*'seperation'"),
+    "mixture_unknown_key": ({"dataset": dict(MIXTURE, dims=4)}, None,
+                            "dataset 'synthetic_mixture': .*'dims'"),
+    "schedule_unknown_key": ({"schedule": {"kind": "inv_sqrt", "C": 1.0}}, None,
+                             "schedule: .*'C'"),
+    "loss_unknown_key": ({"loss": {"kind": "auc_logistic", "margin": 1}}, None,
+                         "loss: .*'margin'"),
+    "topology_missing_key": ({"topology": {"kind": "watts_strogatz", "n": 8,
+                                           "p": 0.1}}, None,
+                             "topology 'watts_strogatz': .*'k'"),
+    "dataset_without_kind": ({"dataset": {"n": 8, "d": 2}}, None,
+                             "dataset spec needs a 'kind'"),
+    "topology_kind_not_a_name": ({"topology": {"kind": ["complete"], "n": 8}}, None,
+                                 "topology spec needs a 'kind'"),
 }
 
 
@@ -233,10 +250,23 @@ class TestRunConfig:
         want = gen_two_class_gaussians(8, 2, stream_rng(11, DATA))
         assert np.array_equal(harness.build_dataset(spec, 11).features, want.features)
         path = sync_config(tmp_path, dataset=dict(spec, seperation=0.8))
-        with pytest.raises(TypeError, match="seperation"):
+        with pytest.raises(ValueError, match="seperation"):
             harness.run_experiment(path, out_dir=tmp_path / "out")
         assert solve_calls == []
 
+    def test_missing_field_is_refused(self, tmp_path):
+        path = sync_config(tmp_path)
+        doc = json.loads(path.read_text())
+        del doc["T"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="config: .*'T'"):
+            harness.RunConfig.from_json(path)
+
+    def test_a_generator_error_is_not_a_refused_spec(self, tmp_path):
+        # keys that bind still reach the generator, whose own errors stand
+        path = sync_config(tmp_path, dataset={"kind": "toy_auc", "n": 8, "d": "2"})
+        with pytest.raises(TypeError):
+            harness.prepare(harness.RunConfig.from_json(path))
 
 
 class TestRunExperiment:
@@ -358,17 +388,31 @@ class TestCli:
         g = build_topology(spec, stream_rng(5, TOPOLOGY))
         assert out == f"{spectral_gap(g):.5e}"
 
-    def test_gen_synthetic_then_run(self, tmp_path, capsys):
+    def test_spectral_gap_refusals_exit_2(self, capsys):
+        for argv, message in ((["--kind", "watts_strogatz", "--n", "30"], "'k'"),
+                              (["--kind", "cycle", "--n", "10"], "bipartite"),
+                              (["--kind", "file"], "'path'")):
+            assert cli.main(["spectral-gap"] + argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("spectral-gap: ") and message in err
+
+    def test_npz_dataset_equals_its_mixture_spec(self, tmp_path, capsys):
         npz = tmp_path / "mix.npz"
-        assert cli.main(["gen-synthetic", "--out", str(npz), "--n", "12",
-                         "--dim", "6", "--classes", "2", "--subspace", "2",
-                         "--seed", "3"]) == 0
-        path = sync_config(tmp_path, dataset={"kind": "npz", "path": str(npz)},
-                           topology={"kind": "complete", "n": 12}, T=50,
-                           checkpoint_stride=50)
-        assert cli.main(["run", "--config", str(path), "--out",
-                         str(tmp_path / "out")]) == 0
-        assert (tmp_path / "out" / "trace.csv").exists()
+        data = gen_gaussian_mixture(stream_rng(3, DATA), n=12, ambient_dim=6,
+                                    classes=2, subspace_dim=2)
+        np.savez(npz, features=data.features, labels=data.labels)
+        mixture = {"kind": "synthetic_mixture", "n": 12, "ambient_dim": 6,
+                   "classes": 2, "subspace_dim": 2}
+        traces = []
+        for name, dataset in (("npz", {"kind": "npz", "path": str(npz)}),
+                              ("mixture", mixture)):
+            path = sync_config(tmp_path, dataset=dataset, seed=3, T=50,
+                               checkpoint_stride=50,
+                               topology={"kind": "complete", "n": 12})
+            assert cli.main(["run", "--config", str(path), "--out",
+                             str(tmp_path / name)]) == 0
+            traces.append((tmp_path / name / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
 
     def test_run_command_runs_every_algorithm(self, tmp_path):
         poly = {"kind": "poly", "c": 1.0, "alpha": 0.25}

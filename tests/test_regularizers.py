@@ -194,15 +194,10 @@ class TestStepSchedules:
     def test_poly(self):
         assert step_gamma(StepSchedule("poly", c=1.0, alpha=0.25), 16) == pytest.approx(0.125)
 
-    def test_bounded_domain(self):
-        s = StepSchedule("bounded_domain", D=1.0, L_f=2.0)
-        assert step_gamma(s, 2) == pytest.approx(0.25)
-
     def test_monotone_non_increasing(self):
         rng = np.random.default_rng(8)
         scheds = [StepSchedule("inv_sqrt", c=2.0),
-                  StepSchedule("poly", c=1.5, alpha=0.1),
-                  StepSchedule("bounded_domain", D=3.0, L_f=0.5)]
+                  StepSchedule("poly", c=1.5, alpha=0.1)]
         for s in scheds:
             ts = np.sort(rng.uniform(1, 1000, size=50))
             vals = [step_gamma(s, t) for t in ts]
