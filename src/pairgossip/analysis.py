@@ -1,4 +1,4 @@
-"""Measurement layer: bias terms, dual disagreement, bound constants, trace I/O.
+"""Measurement layer: bias terms, dual disagreement, bound constants, trace writer.
 
 TraceRecord is the canonical per-checkpoint row schema shared by every runner;
 it serializes to CSV with a header row, UNIX newlines and '.' decimals.
@@ -41,38 +41,26 @@ class TraceRecord:
         return [getattr(self, c) for c in columns]
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Everything Theorem-style rate constants need."""
-
-    theta_star_norm: float
-    L_f: float
-    sched: StepSchedule
-    T: int
-    spectral_gap: float
-
-    def __post_init__(self):
-        if not (0.0 < self.spectral_gap <= 1.0):
-            raise ValueError(f"spectral gap must be in (0, 1], got {self.spectral_gap}")
-        if self.L_f <= 0 or self.theta_star_norm < 0:
-            raise ValueError("invalid bound inputs")
-
-
-def bound_constants(b: BoundInputs) -> tuple[float, float]:
-    """(C1, C2): centralized-rate and network-mixing terms of the gap bound.
+def bound_constants(theta_star_norm: float, L_f: float, sched: StepSchedule,
+                    T: int, spectral_gap: float) -> tuple[float, float]:
+    """(C1, C2): centralized-rate and network-mixing terms of the gap bound
+    after T >= 2 steps, for ||theta*|| >= 0, L_f > 0 and a gap in (0, 1].
 
     C1 = ||theta*||^2 / (2 T gamma(T)) + (L_f^2 / 2T) sum_{t<T} gamma(t)
     C2 = 3 L_f^2 / (T (1 - sqrt(lambda_2))) sum_{t<T} gamma(t)
 
     The bias contribution (C3) is empirical and tracked via bias_term_centered.
     """
-    if b.T < 2:
+    if T < 2:
         raise ValueError("bound constants need T >= 2")
-    gsum = sum(step_gamma(b.sched, t) for t in range(1, b.T))
-    c1 = (b.theta_star_norm ** 2 / (2 * b.T * step_gamma(b.sched, b.T))
-          + b.L_f ** 2 * gsum / (2 * b.T))
-    lam2 = 1.0 - b.spectral_gap
-    c2 = 3.0 * b.L_f ** 2 * gsum / (b.T * (1.0 - math.sqrt(lam2)))
+    if not (0.0 < spectral_gap <= 1.0):
+        raise ValueError(f"spectral gap must be in (0, 1], got {spectral_gap}")
+    if L_f <= 0 or theta_star_norm < 0:
+        raise ValueError("invalid bound inputs")
+    gsum = sum(step_gamma(sched, t) for t in range(1, T))
+    c1 = (theta_star_norm ** 2 / (2 * T * step_gamma(sched, T))
+          + L_f ** 2 * gsum / (2 * T))
+    c2 = 3.0 * L_f ** 2 * gsum / (T * (1.0 - math.sqrt(1.0 - spectral_gap)))
     return c1, c2
 
 
@@ -156,13 +144,4 @@ def write_trace(records, path) -> None:
     with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for r in records:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in r.row(columns)])
-
-
-def read_trace(path) -> list[dict]:
-    with open(path) as fh:
-        reader = csv.DictReader(fh)
-        return [{k: (int(v) if k == "t" else float(v)) for k, v in row.items()}
-                for row in reader]
+        writer.writerows(r.row(columns) for r in records)

@@ -182,7 +182,8 @@ def spectral_gap(g: Graph) -> float:
 
 
 def tensor_with_complete(g: Graph, k: int) -> Graph:
-    """Expand each node into k virtual nodes: the tensor product with K_k.
+    """Expand each node into k virtual nodes: the tensor product with K_k
+    with a loop at every node.
 
     The adjacency of the product is J_k (x) A, i.e. virtual copies (i, a) and
     (j, b) are linked iff (i, j) is an edge of g, for all a, b.  This gives
@@ -215,14 +216,6 @@ def activation_probabilities(g: Graph) -> np.ndarray:
     p_k = d_k / m, so that sum_k p_k = 2 (each draw touches two nodes).
     """
     return g.degrees / g.num_edges
-
-
-def write_edgelist(g: Graph, path) -> None:
-    """Text export: first line "n m", then one "i j" line per edge (0-based)."""
-    with open(path, "w") as fh:
-        fh.write(f"{g.n} {g.num_edges}\n")
-        for i, j in g.edges.tolist():
-            fh.write(f"{i} {j}\n")
 
 
 def read_edgelist(path) -> Graph:

@@ -26,8 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import centralized, datasets, graphs
-from .analysis import (BoundInputs, TraceRecord, atomic_write, bound_constants,
-                       write_trace)
+from .analysis import TraceRecord, atomic_write, bound_constants, write_trace
 from .async_gossip import run_async
 from .losses import Dataset, PairwiseLoss, loss_lipschitz
 from .regularizers import Regularizer, StepSchedule
@@ -35,7 +34,12 @@ from .sync_gossip import (DATA, TOPOLOGY, EngineConfig, SyncRunConfig, check_run
                           run_sync, stream_rng)
 
 GOSSIP_ALGORITHMS = ("sync", "async")
-ALGORITHMS = ("centralized_det", "centralized_sto") + GOSSIP_ALGORITHMS
+# algorithm -> runner of its engine config (a SyncRunConfig for the gossip ones)
+RUNNERS = {"centralized_det": functools.partial(centralized.run_centralized,
+                                                step=centralized.deterministic_step),
+           "centralized_sto": functools.partial(centralized.run_centralized,
+                                                step=centralized.stochastic_step),
+           "sync": run_sync, "async": run_async}
 
 
 @dataclass
@@ -54,7 +58,11 @@ class RunConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
+        for name in ("topology", "dataset", "loss", "regularizer", "schedule"):
+            spec = getattr(self, name)
+            if not isinstance(spec, dict) and not (name == "topology" and spec is None):
+                raise ValueError(f"{name} spec must be a JSON object, got {spec!r}")
+        if self.algorithm not in RUNNERS:
             raise ValueError(f"unknown algorithm: {self.algorithm!r}")
         if (self.algorithm in GOSSIP_ALGORITHMS) != (self.topology is not None):
             raise ValueError("sync and async need a topology spec, centralized runs "
@@ -146,13 +154,9 @@ def execute(prep: PreparedRun) -> list[TraceRecord]:
     shared = dict(data=prep.data, loss=prep.loss, reg=prep.reg, sched=prep.sched,
                   T=cfg.T, seed=cfg.seed, checkpoint_stride=cfg.checkpoint_stride,
                   theta_star=theta_star, r_star=r_star)
-    if cfg.algorithm in GOSSIP_ALGORITHMS:
-        runner = run_sync if cfg.algorithm == "sync" else run_async
-        return runner(SyncRunConfig(graph=prep.graph, gradient_mode=cfg.gradient_mode,
-                                    **shared))
-    step = (centralized.deterministic_step if cfg.algorithm == "centralized_det"
-            else centralized.stochastic_step)
-    return centralized.run_centralized(EngineConfig(**shared), step)
+    engine = (EngineConfig(**shared) if prep.graph is None else
+              SyncRunConfig(graph=prep.graph, gradient_mode=cfg.gradient_mode, **shared))
+    return RUNNERS[cfg.algorithm](engine)
 
 
 def summarize(prep: PreparedRun, records: list[TraceRecord],
@@ -172,10 +176,8 @@ def summarize(prep: PreparedRun, records: list[TraceRecord],
     }
     ref = prep.reference
     if ref is not None:
-        summary["reference"] = {"iterations": ref.iterations,
-                                "gradients": ref.gradients,
-                                "mapping_norm": ref.mapping_norm,
-                                "step": ref.step, "tolerance": ref.tolerance}
+        summary["reference"] = {k: v for k, v in ref._asdict().items()
+                                if k not in ("theta", "value")}
     if prep.graph is not None:
         try:
             gap = graphs.spectral_gap(prep.graph)
@@ -185,10 +187,9 @@ def summarize(prep: PreparedRun, records: list[TraceRecord],
             return summary
         summary["spectral_gap"] = gap
         if ref is not None and prep.cfg.T >= 2:
-            c1, c2 = bound_constants(BoundInputs(
-                theta_star_norm=float(np.linalg.norm(ref.theta)),
-                L_f=loss_lipschitz(prep.loss, prep.data),
-                sched=prep.sched, T=prep.cfg.T, spectral_gap=gap))
+            c1, c2 = bound_constants(float(np.linalg.norm(ref.theta)),
+                                     loss_lipschitz(prep.loss, prep.data),
+                                     prep.sched, prep.cfg.T, gap)
             summary["bound_c1"] = c1
             summary["bound_c2"] = c2
     return summary

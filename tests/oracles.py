@@ -6,9 +6,12 @@ and `loss_grad` take one ordered pair of points, the scalar reference that
 `losses.pair_gradients` is checked against; `auc_full_gradient_tanh` is the
 pairwise form that `losses.full_gradient` factorises.  One helper,
 `centralized_iterates`, steps a centralized policy directly, for tests that
-read theta_bar at marks the engine's checkpoint stride cannot express.
+read theta_bar at marks the engine's checkpoint stride cannot express.  Two
+I/O helpers read back a trace and write the edge-list files that
+`graphs.read_edgelist` loads.
 """
 
+import csv
 from typing import NamedTuple
 
 import numpy as np
@@ -145,3 +148,18 @@ def centralized_iterates(step, data: Dataset, loss: PairwiseLoss, reg: Regulariz
             theta_bar = state.theta_bar[0].copy()
             out.append((t, theta_bar, full_objective(theta_bar, data, loss, reg)))
     return out
+
+
+def read_trace(path) -> list[dict]:
+    """The rows of a trace.csv, t as an int and every other column a float."""
+    with open(path) as fh:
+        return [{k: (int(v) if k == "t" else float(v)) for k, v in row.items()}
+                for row in csv.DictReader(fh)]
+
+
+def write_edgelist(g: Graph, path) -> None:
+    """Text export: first line "n m", then one "i j" line per edge (0-based)."""
+    with open(path, "w") as fh:
+        fh.write(f"{g.n} {g.num_edges}\n")
+        for i, j in g.edges.tolist():
+            fh.write(f"{i} {j}\n")

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pairgossip.analysis import BoundInputs, bound_constants
+from pairgossip.analysis import bound_constants
 from pairgossip.async_gossip import async_step, run_async
 from pairgossip.centralized import deterministic_step, solve_reference, stochastic_step
 from pairgossip.datasets import gen_gaussian_mixture, gen_two_class_gaussians
@@ -171,8 +171,8 @@ def test_criterion_4_sync_convergence_and_bound():
     for t in sorted(per_t_gap):
         arr = np.array(per_t_gap[t])
         se = arr.std(ddof=1) / np.sqrt(len(arr))
-        c1, c2 = bound_constants(BoundInputs(theta_star_norm=norm, L_f=L,
-                                             sched=SQRT, T=t, spectral_gap=gap))
+        c1, c2 = bound_constants(theta_star_norm=norm, L_f=L, sched=SQRT, T=t,
+                                 spectral_gap=gap)
         c3 = abs(np.mean([np.mean(per_t_c3[s]) for s in per_t_c3 if s <= t]))
         bound_ok = bound_ok and arr.mean() <= c1 + c2 + c3 + 3 * se + 1e-8
     report(4, "synchronous convergence", conv_ok and bound_ok,

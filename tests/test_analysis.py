@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from pairgossip.analysis import (ASYNC_COLUMNS, SYNC_COLUMNS, BoundInputs,
-                                 TraceRecord, bias_sample, bound_constants,
-                                 dual_disagreement, make_record,
-                                 objective_per_node, read_trace, write_trace)
+from pairgossip.analysis import (ASYNC_COLUMNS, SYNC_COLUMNS, TraceRecord,
+                                 bias_sample, bound_constants, dual_disagreement,
+                                 make_record, objective_per_node, write_trace)
 from pairgossip import losses
 from pairgossip.datasets import gen_two_class_gaussians
 from pairgossip.losses import Dataset, PairwiseLoss, full_objective, mean_partial_gradient
 from pairgossip.regularizers import (Regularizer, StepSchedule, psi_value,
                                      smoothing_op, step_gamma)
 
-from oracles import exact_partial_gradient, loss_grad, loss_value, point
+from oracles import exact_partial_gradient, loss_grad, loss_value, point, read_trace
 
 AUC = PairwiseLoss("auc_logistic")
 HINGE = PairwiseLoss("metric_hinge", b=1.0)
@@ -80,21 +79,18 @@ class TestBoundConstants:
         # with T=2 the gamma sums have a single term gamma(1)
         sched = StepSchedule("inv_sqrt", c=0.5)
         g1, g2 = step_gamma(sched, 1), step_gamma(sched, 2)
-        b = BoundInputs(theta_star_norm=2.0, L_f=3.0, sched=sched, T=2,
-                        spectral_gap=0.25)
-        c1, c2 = bound_constants(b)
+        c1, c2 = bound_constants(theta_star_norm=2.0, L_f=3.0, sched=sched, T=2,
+                                 spectral_gap=0.25)
         assert c1 == pytest.approx(4.0 / (4 * g2) + 9.0 * g1 / 4)
         lam2 = 0.75
         assert c2 == pytest.approx(3 * 9.0 * g1 / (2 * (1 - math.sqrt(lam2))))
 
     def test_lf_homogeneity(self):
         sched = StepSchedule("inv_sqrt", c=1.0)
-        base = BoundInputs(theta_star_norm=1.0, L_f=1.0, sched=sched, T=50,
-                           spectral_gap=0.1)
-        doubled = BoundInputs(theta_star_norm=1.0, L_f=2.0, sched=sched, T=50,
-                              spectral_gap=0.1)
-        c1a, c2a = bound_constants(base)
-        c1b, c2b = bound_constants(doubled)
+        c1a, c2a = bound_constants(theta_star_norm=1.0, L_f=1.0, sched=sched, T=50,
+                                   spectral_gap=0.1)
+        c1b, c2b = bound_constants(theta_star_norm=1.0, L_f=2.0, sched=sched, T=50,
+                                   spectral_gap=0.1)
         theta_term = 1.0 / (2 * 50 * step_gamma(sched, 50))
         assert c1b - theta_term == pytest.approx(4 * (c1a - theta_term))
         assert c2b == pytest.approx(4 * c2a)
@@ -102,11 +98,11 @@ class TestBoundConstants:
     def test_validation(self):
         sched = StepSchedule("inv_sqrt", c=1.0)
         with pytest.raises(ValueError):
-            BoundInputs(theta_star_norm=1.0, L_f=1.0, sched=sched, T=10,
-                        spectral_gap=0.0)
+            bound_constants(theta_star_norm=1.0, L_f=1.0, sched=sched, T=10,
+                            spectral_gap=0.0)
         with pytest.raises(ValueError):
-            bound_constants(BoundInputs(theta_star_norm=1.0, L_f=1.0,
-                                        sched=sched, T=1, spectral_gap=0.5))
+            bound_constants(theta_star_norm=1.0, L_f=1.0, sched=sched, T=1,
+                            spectral_gap=0.5)
 
 
 class TestBiasSample:

@@ -13,12 +13,13 @@ import pairgossip
 from pairgossip import cli, harness
 from pairgossip.datasets import (gen_gaussian_mixture, gen_two_class_gaussians,
                                  load_breast_cancer)
-from pairgossip.analysis import read_trace
 from pairgossip.graphs import build_topology, complete_graph, spectral_gap
 from pairgossip.losses import PairwiseLoss, full_objective
 from pairgossip.regularizers import Regularizer, StepSchedule
 from pairgossip.sync_gossip import (DATA, TOPOLOGY, EngineConfig, SyncRunConfig,
                                     stream_rng)
+
+from oracles import read_trace
 
 
 def write_uci_file(path, rows):
@@ -191,6 +192,20 @@ INVALID = {
                              "dataset spec needs a 'kind'"),
     "topology_kind_not_a_name": ({"topology": {"kind": ["complete"], "n": 8}}, None,
                                  "topology spec needs a 'kind'"),
+    # an ingredient spec is a JSON object (a topology may be null)
+    "dataset_not_an_object": ({"dataset": "toy_auc"}, None,
+                              "dataset spec must be a JSON object, got 'toy_auc'"),
+    "topology_not_an_object": ({"topology": "complete"}, None,
+                               "topology spec must be a JSON object, got 'complete'"),
+    "loss_not_an_object": ({"loss": "auc_logistic"}, None,
+                           "loss spec must be a JSON object, got 'auc_logistic'"),
+    "loss_not_an_object_without_reference": ({"loss": "auc_logistic",
+                                              "compute_reference": False}, None,
+                                             "loss spec must be a JSON object"),
+    "regularizer_not_an_object": ({"regularizer": "zero"}, None,
+                                  "regularizer spec must be a JSON object, got 'zero'"),
+    "schedule_not_an_object": ({"schedule": ["inv_sqrt"]}, None,
+                               r"schedule spec must be a JSON object, got \['inv_sqrt'\]"),
 }
 
 
@@ -310,7 +325,7 @@ class TestRunExperiment:
         assert summary["final_obj_mean"] > 0.0
 
     def test_zero_steps_write_one_t0_row(self, tmp_path):
-        for algo in harness.ALGORITHMS:
+        for algo in harness.RUNNERS:
             gossips = algo in harness.GOSSIP_ALGORITHMS
             path = sync_config(tmp_path, algorithm=algo, T=0,
                                compute_reference=False,
