@@ -2,7 +2,7 @@
 
 Graphs are immutable after construction and safe to share across concurrent
 runs.  Spectra are computed by dense symmetric eigendecomposition, which keeps
-results exact at desk scale (node counts up to a configurable cap).
+results exact at desk scale (up to DENSE_EIG_CAP = 2000 nodes).
 """
 
 from __future__ import annotations
@@ -82,15 +82,12 @@ class Graph:
         d.setflags(write=False)
         return d
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        i, j = self.edges.T
-        a[i, j] = a[j, i] = 1.0
-        return a
-
     def laplacian(self) -> np.ndarray:
         """L = D - A."""
-        return np.diag(self.degrees.astype(float)) - self.adjacency()
+        lap = np.diag(self.degrees.astype(float))
+        i, j = self.edges.T
+        lap[i, j] = lap[j, i] = -1.0
+        return lap
 
     @cached_property
     def _components(self) -> int:
@@ -121,21 +118,15 @@ def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def _ring_lattice_edges(n: int, k: int) -> list[tuple[int, int]]:
-    edges = []
-    for lane in range(1, k // 2 + 1):
-        for i in range(n):
-            edges.append((i, (i + lane) % n))
-    return edges
-
-
 def watts_strogatz_graph(n: int, k: int, p: float, rng: np.random.Generator) -> Graph:
     """Classic Watts-Strogatz small-world graph, resampled until connected.
 
     Starts from a ring lattice of even mean degree k and rewires the far
     ("clockwise") endpoint of each lattice edge independently with probability
     p, to a uniform non-self, non-duplicate target.  An odd k is rounded down
-    to the nearest even value.
+    to the nearest even value.  Draw order, which fixes the graphs: one
+    rng.random() per lattice edge, lane by lane (every i at distance 1, then
+    2, ...), and rng.integers(free) only when a free target exists.
     """
     if k % 2 == 1:
         k -= 1
@@ -143,21 +134,24 @@ def watts_strogatz_graph(n: int, k: int, p: float, rng: np.random.Generator) -> 
         raise ValueError(f"watts_strogatz needs even k with 2 <= k < n, got k={k}, n={n}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"rewiring probability must be in [0, 1], got {p}")
+    lattice = [(i, (i + lane) % n) for lane in range(1, k // 2 + 1) for i in range(n)]
     for _ in range(WATTS_STROGATZ_MAX_RETRIES):
-        present = {(min(i, j), max(i, j)) for (i, j) in _ring_lattice_edges(n, k)}
-        for (i, j) in _ring_lattice_edges(n, k):
-            if rng.random() >= p:
+        # the lattice neighbours and i itself: a free target is one not in nbrs[i]
+        nbrs = [{(i + d) % n for d in range(-(k // 2), k // 2 + 1)} for i in range(n)]
+        for i, j in lattice:
+            if rng.random() >= p or len(nbrs[i]) == n:
                 continue
-            old = (min(i, j), max(i, j))
-            # rewire the far endpoint j -> uniform fresh target
-            candidates = [t for t in range(n)
-                          if t != i and (min(i, t), max(i, t)) not in present]
-            if not candidates:
-                continue
-            new_j = candidates[rng.integers(len(candidates))]
-            present.discard(old)
-            present.add((min(i, new_j), max(i, new_j)))
-        g = Graph.from_edges(n, present)
+            # rewire the far endpoint j -> the t-th free node in ascending order
+            t = int(rng.integers(n - len(nbrs[i])))
+            for v in sorted(nbrs[i]):
+                if v > t:
+                    break
+                t += 1
+            nbrs[i].remove(j)
+            nbrs[j].remove(i)
+            nbrs[i].add(t)
+            nbrs[t].add(i)
+        g = Graph.from_edges(n, [(i, j) for i in range(n) for j in nbrs[i] if i < j])
         if g.is_connected():
             return g
     raise RuntimeError(

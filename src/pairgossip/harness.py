@@ -58,6 +58,15 @@ class RunConfig:
     output: str | None = None
 
     def __post_init__(self):
+        for name, kind, what in (("T", int, "an integer"), ("seed", int, "an integer"),
+                                 ("checkpoint_stride", int, "an integer"),
+                                 ("compute_reference", bool, "a bool"),
+                                 ("algorithm", str, "a string"),
+                                 ("gradient_mode", str, "a string"),
+                                 ("output", (str, type(None)), "a string or null")):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         for name in ("topology", "dataset", "loss", "regularizer", "schedule"):
             spec = getattr(self, name)
             if not isinstance(spec, dict) and not (name == "topology" and spec is None):
@@ -75,6 +84,8 @@ class RunConfig:
     def from_json(cls, path) -> "RunConfig":
         with open(path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
         return cls(**_bind("config", cls, doc))
 
 

@@ -6,9 +6,11 @@ and `loss_grad` take one ordered pair of points, the scalar reference that
 `losses.pair_gradients` is checked against; `auc_full_gradient_tanh` is the
 pairwise form that `losses.full_gradient` factorises.  One helper,
 `centralized_iterates`, steps a centralized policy directly, for tests that
-read theta_bar at marks the engine's checkpoint stride cannot express.  Two
-I/O helpers read back a trace and write the edge-list files that
-`graphs.read_edgelist` loads.
+read theta_bar at marks the engine's checkpoint stride cannot express.
+`watts_strogatz_reference` is the plain candidate-list rewiring that
+`graphs.watts_strogatz_graph` must reproduce edge for edge.  Two I/O helpers
+read back a trace and write the edge-list files that `graphs.read_edgelist`
+loads.
 """
 
 import csv
@@ -16,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from pairgossip.graphs import Graph
+from pairgossip.graphs import WATTS_STROGATZ_MAX_RETRIES, Graph
 from pairgossip.losses import Dataset, PairwiseLoss, full_objective, param_shape
 from pairgossip.regularizers import Regularizer, StepSchedule, psi_value, step_gamma
 from pairgossip.sync_gossip import EngineConfig, GossipState
@@ -163,3 +165,29 @@ def write_edgelist(g: Graph, path) -> None:
         fh.write(f"{g.n} {g.num_edges}\n")
         for i, j in g.edges.tolist():
             fh.write(f"{i} {j}\n")
+
+
+def watts_strogatz_reference(n: int, k: int, p: float, rng: np.random.Generator) -> Graph:
+    """Watts-Strogatz by a global set of (min, max) edges: each rewired edge
+    lists its free targets by a scan over all n nodes and draws one of them."""
+    if k % 2 == 1:
+        k -= 1
+    for _ in range(WATTS_STROGATZ_MAX_RETRIES):
+        lattice = [(i, (i + lane) % n) for lane in range(1, k // 2 + 1) for i in range(n)]
+        present = {(min(i, j), max(i, j)) for (i, j) in lattice}
+        for (i, j) in lattice:
+            if rng.random() >= p:
+                continue
+            old = (min(i, j), max(i, j))
+            # rewire the far endpoint j -> uniform fresh target
+            candidates = [t for t in range(n)
+                          if t != i and (min(i, t), max(i, t)) not in present]
+            if not candidates:
+                continue
+            new_j = candidates[rng.integers(len(candidates))]
+            present.discard(old)
+            present.add((min(i, new_j), max(i, new_j)))
+        g = Graph.from_edges(n, present)
+        if g.is_connected():
+            return g
+    raise RuntimeError("no connected Watts-Strogatz graph")

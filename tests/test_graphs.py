@@ -1,16 +1,18 @@
 import hashlib
+import itertools
+import time
 
 import numpy as np
 import pytest
 
-from pairgossip import graphs
+from pairgossip import cli, graphs
 from pairgossip.graphs import (Graph, activation_probabilities, build_topology,
                                complete_graph, cycle_graph, read_edgelist,
                                sample_edge, spectral_gap, tensor_with_complete,
                                watts_strogatz_graph)
 from pairgossip.sync_gossip import TOPOLOGY, stream_rng
 
-from oracles import expected_gossip_matrix, write_edgelist
+from oracles import expected_gossip_matrix, watts_strogatz_reference, write_edgelist
 
 # sha256 of the little-endian int64 edge array of the perfbench `auc_sync_eval`
 # graph, watts_strogatz_graph(699, 6, 0.1, stream_rng(seed, TOPOLOGY)), by seed
@@ -129,6 +131,20 @@ class TestTopologies:
         digest = hashlib.sha256(g.edges.astype("<i8").tobytes()).hexdigest()
         assert digest == PAPER_SIZE_WATTS_STROGATZ[seed]
 
+    @pytest.mark.parametrize("n", [5, 6, 10, 20, 50])
+    def test_watts_strogatz_matches_the_reference(self, n):
+        # the grid retries after a disconnected draw, e.g. at (20, 2, 0.3, seed 2),
+        # and finds no free target for any rewiring at (5, 4, 1.0)
+        for k, p, seed in itertools.product((2, 4, 5), (0.0, 0.3, 0.6, 1.0), range(4)):
+            g = watts_strogatz_graph(n, k, p, np.random.default_rng(seed))
+            ref = watts_strogatz_reference(n, k, p, np.random.default_rng(seed))
+            assert np.array_equal(g.edges, ref.edges), (k, p, seed)
+
+    def test_watts_strogatz_builds_in_linear_time(self):
+        start = time.perf_counter()
+        watts_strogatz_graph(10_000, 6, 0.1, stream_rng(0, TOPOLOGY))
+        assert time.perf_counter() - start < 2.0
+
     def test_watts_strogatz_p_zero_is_ring_lattice(self):
         rng = np.random.default_rng(2)
         g = watts_strogatz_graph(10, 4, 0.0, rng)
@@ -149,7 +165,9 @@ class TestLaplacian:
         for _ in range(10):
             g = random_connected_graph(int(rng.integers(4, 10)), rng)
             L = g.laplacian()
-            assert np.array_equal(L, np.diag(g.degrees) - g.adjacency())
+            A = np.zeros((g.n, g.n))
+            A[g.edges[:, 0], g.edges[:, 1]] = A[g.edges[:, 1], g.edges[:, 0]] = 1.0
+            assert np.array_equal(L, np.diag(g.degrees) - A)
             assert np.allclose(L @ np.ones(g.n), 0.0)
             w = np.linalg.eigvalsh(L)
             assert abs(w[0]) < 1e-10
@@ -310,3 +328,20 @@ class TestEdgelistIO:
         path.write_text("4 4\n0 1\n1 0\n1 2\n2 3\n")
         with pytest.raises(ValueError, match="3 distinct"):
             read_edgelist(path)
+
+    @pytest.mark.parametrize("body, message", [
+        pytest.param("", "header must be 'n m'", id="empty"),
+        pytest.param("3\n0 1\n", "header must be 'n m'", id="header_one_field"),
+        pytest.param("3 1\n0 1 2\n", "malformed edge line", id="three_fields"),
+        pytest.param("3 1\n0 x\n", "invalid literal", id="not_an_integer"),
+        pytest.param("3 1\n0 5\n", "out of range", id="out_of_range"),
+        pytest.param("3 1\n1 1\n", "self-loop", id="self_loop"),
+    ])
+    def test_refuses_malformed_files(self, body, message, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=message):
+            read_edgelist(path)
+        assert cli.main(["spectral-gap", "--kind", "file", "--path", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spectral-gap: ") and message in err

@@ -206,6 +206,16 @@ INVALID = {
                                   "regularizer spec must be a JSON object, got 'zero'"),
     "schedule_not_an_object": ({"schedule": ["inv_sqrt"]}, None,
                                r"schedule spec must be a JSON object, got \['inv_sqrt'\]"),
+    # a run-level field has one JSON type; a bool is not an integer
+    "T_a_string": ({"T": "10"}, None, "T must be an integer, got '10'"),
+    "T_a_bool": ({"T": True}, None, "T must be an integer, got True"),
+    "seed_a_float": ({"seed": 1.5}, None, "seed must be an integer, got 1.5"),
+    "stride_a_string": ({"checkpoint_stride": "5"}, None,
+                        "checkpoint_stride must be an integer, got '5'"),
+    "compute_reference_a_string": ({"compute_reference": "no"}, None,
+                                   "compute_reference must be a bool, got 'no'"),
+    "algorithm_a_list": ({"algorithm": ["sync"]}, None,
+                         r"algorithm must be a string, got \['sync'\]"),
 }
 
 
@@ -276,6 +286,14 @@ class TestRunConfig:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="config: .*'T'"):
             harness.RunConfig.from_json(path)
+
+    def test_a_document_that_is_not_an_object_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(["sync"]))
+        with pytest.raises(ValueError, match="config must be a JSON object, got list"):
+            harness.RunConfig.from_json(path)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "run: config must be a JSON object, got list\n"
 
     def test_a_generator_error_is_not_a_refused_spec(self, tmp_path):
         # keys that bind still reach the generator, whose own errors stand
