@@ -6,10 +6,6 @@ its class's fields, or a `kind` and that builder's arguments.  A run is fully
 reproducible from (config, seed): every stochastic role draws from its own
 named sub-stream of the run's SeedSequence (the stream table in
 `sync_gossip`), so draw order is stable under refactoring.
-
-run_many runs independent (config, seed) jobs in threads, as many as the
-PAIRGOSSIP_THREADS environment variable allows.  Nothing pins the BLAS thread
-count, so a job's linear algebra may itself be multi-threaded.
 """
 
 from __future__ import annotations
@@ -17,9 +13,7 @@ from __future__ import annotations
 import functools
 import inspect
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -249,15 +243,3 @@ def compare_baseline(config_path, out_dir=None, seed_override: int | None = None
                 "final_obj_unbiased_baseline": finals["unbiased_baseline"],
                 "final_obj_relative_difference": rel}, out / "compare.json")
     return out
-
-
-def max_workers() -> int:
-    return max(1, int(os.environ.get("PAIRGOSSIP_THREADS", os.cpu_count() or 1)))
-
-
-def run_many(jobs) -> list[Path]:
-    """Run (config_path, out_dir, seed) jobs concurrently, capped by
-    PAIRGOSSIP_THREADS."""
-    with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-        futures = [pool.submit(run_experiment, c, o, s) for (c, o, s) in jobs]
-        return [f.result() for f in futures]

@@ -1,4 +1,4 @@
-"""Pairwise losses, their gradients, exact objectives and the AUC metric.
+"""Pairwise losses, their gradients and exact objectives.
 
 Two loss families are supported:
 
@@ -97,7 +97,7 @@ def _auc_loss_sums(thetas: np.ndarray, data: Dataset) -> np.ndarray:
     for c in range(0, len(thetas), step):
         u = thetas[c:c + step] @ signed.T
         e = np.exp(np.minimum(u, _SAFE_SCORE))  # finite; exact on the rows that use it
-        b = e[:, pos, None] * e[:, None, neg]
+        b = np.einsum("ri,rj->rij", e[:, pos], e[:, neg])
         sums[c:c + step] = np.log1p(b, out=b).sum(axis=(1, 2))
         if np.abs(u).max() >= _SAFE_SCORE:
             for k in np.flatnonzero(np.abs(u).max(axis=1) >= _SAFE_SCORE):
@@ -152,7 +152,7 @@ def full_gradient(theta: np.ndarray, data: Dataset, loss: PairwiseLoss) -> np.nd
         u, pos = _signed_features(data) @ theta, data.labels == 1
         if np.abs(u).max() < _SAFE_SCORE:
             e = np.exp(-u)
-            sig = np.multiply.outer(e[pos], e[~pos])
+            sig = np.einsum("i,j->ij", e[pos], e[~pos])
             sig += 1.0
             np.reciprocal(sig, out=sig)
         else:
@@ -198,33 +198,28 @@ def pair_gradients(loss: PairwiseLoss, theta_stack: np.ndarray, data: Dataset,
                    own_idx, partner_idx: np.ndarray) -> np.ndarray:
     """grad f(theta_r; x_{own_idx[r]}, x_{partner_idx[r]}) for every row r of
     the stack: the pair gradient of every step policy.  A full slice as own_idx
-    pairs row k with x_k without copying the features."""
+    pairs row k with x_k without copying the features.  The AUC branch works
+    in place on its own temporaries (the gathered partners and their scores)
+    and returns the first of them."""
     x, labels = data.features, data.labels
     x_own, l_own = x[own_idx], labels[own_idx]
     if loss.kind == "auc_logistic":
-        diffs = x[partner_idx] - x_own
+        diffs = x.take(partner_idx, axis=0)
+        diffs -= x_own
         s = np.einsum("kd,kd->k", diffs, theta_stack)
-        gate = (l_own > labels[partner_idx]).astype(float)
-        sig = 0.5 * (1.0 + np.tanh(0.5 * s))
-        return (gate * sig)[:, None] * diffs
+        s *= 0.5  # sigma(s) = 0.5 * (1 + tanh(0.5 * s)), in that order
+        np.tanh(s, out=s)
+        s += 1.0
+        s *= 0.5
+        s *= l_own > labels.take(partner_idx)  # a 0/1 gate is exact
+        diffs *= s[:, None]
+        return diffs
     delta = x_own - x[partner_idx]
     dist = (delta[:, None] @ theta_stack @ delta[:, :, None])[:, 0, 0]  # only gates the hinge
     ll = (l_own * labels[partner_idx]).astype(float)
     active = (1.0 - ll * (loss.b - dist)) > 0.0
     w = np.where(active, ll, 0.0)
     return delta[:, :, None] * (w[:, None] * delta)[:, None, :]  # w in {-1, 0, 1}: exact
-
-
-def auc_score(theta: np.ndarray, data: Dataset) -> float:
-    """Exact pairwise AUC with strict score inequality (ties score zero)."""
-    if theta.ndim != 1:
-        raise ValueError("auc_score expects a vector parameter")
-    n_pos = int((data.labels == 1).sum())
-    n_neg = int((data.labels == -1).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC needs at least one positive and one negative label")
-    s = data.features @ theta
-    return float((s[data.labels == 1][:, None] > s[data.labels == -1]).sum()) / (n_pos * n_neg)
 
 
 def loss_lipschitz(loss: PairwiseLoss, data: Dataset) -> float:

@@ -75,7 +75,7 @@ def project_psd(m: np.ndarray) -> np.ndarray:
 def prox_psi(reg: Regularizer, v: np.ndarray, scale: float) -> np.ndarray:
     """prox_{scale*psi}(v) = argmin_u ||u - v||^2/2 + scale*psi(u)."""
     _check_shape(reg, v)
-    if not np.all(np.isfinite(v)) or not math.isfinite(scale):
+    if not np.isfinite(v).all() or not math.isfinite(scale):
         raise ValueError("non-finite prox input")
     if reg.kind == "zero":
         return v.copy()

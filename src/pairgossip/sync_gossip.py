@@ -122,7 +122,8 @@ def gossip_exchange(state: GossipState, g: Graph,
     avg = 0.5 * (state.z[i] + state.z[j])
     state.z[i] = avg
     state.z[j] = avg
-    state.y_idx[[i, j]] = state.y_idx[[j, i]]
+    y = state.y_idx
+    y[i], y[j] = y[j], y[i]
     return i, j
 
 
@@ -130,11 +131,13 @@ def dual_average(z: np.ndarray, theta_bar: np.ndarray, d: np.ndarray, t: float,
                  count: float, cfg: EngineConfig) -> np.ndarray:
     """One dual-averaging step on the rows z, theta_bar, in place: accumulate
     the directions d, project with gamma(t), average the primal over `count`
-    primals.  Returns the primal."""
+    primals.  Returns the primal.  The -z it projects is its own temporary,
+    reused for theta / count: every smoothing returns a new array."""
     z += d
-    theta = smoothing_op(cfg.reg, -z, t, step_gamma(cfg.sched, t))
+    neg = -z
+    theta = smoothing_op(cfg.reg, neg, t, step_gamma(cfg.sched, t))
     theta_bar *= 1.0 - 1.0 / count
-    theta_bar += theta / count
+    theta_bar += np.divide(theta, count, out=neg)
     return theta
 
 

@@ -4,9 +4,13 @@ Each one restates a definition from the paper in its plainest form, so the
 library's vectorized or fused code can be checked against it: `loss_value`
 and `loss_grad` take one ordered pair of points, the scalar reference that
 `losses.pair_gradients` is checked against; `auc_full_gradient_tanh` is the
-pairwise form that `losses.full_gradient` factorises.  One helper,
-`centralized_iterates`, steps a centralized policy directly, for tests that
-read theta_bar at marks the engine's checkpoint stride cannot express.
+pairwise form that `losses.full_gradient` factorises.  The `_broadcast`
+oracles restate the AUC kernels as one whole-array expression per operation
+(broadcast and `multiply.outer` outer products, no in-place steps): the
+library's kernels must match them bit for bit.  `auc_score` is the exact
+pairwise AUC.  One helper, `centralized_iterates`, steps a centralized policy
+directly, for tests that read theta_bar at marks the engine's checkpoint
+stride cannot express.
 `watts_strogatz_reference` is the plain candidate-list rewiring that
 `graphs.watts_strogatz_graph` must reproduce edge for edge.  Two I/O helpers
 read back a trace and write the edge-list files that `graphs.read_edgelist`
@@ -19,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from pairgossip.graphs import WATTS_STROGATZ_MAX_RETRIES, Graph
-from pairgossip.losses import Dataset, PairwiseLoss, full_objective, param_shape
+from pairgossip.losses import (_SAFE_SCORE, Dataset, PairwiseLoss, full_objective,
+                               param_shape)
 from pairgossip.regularizers import Regularizer, StepSchedule, psi_value, step_gamma
 from pairgossip.sync_gossip import EngineConfig, GossipState
 
@@ -103,6 +108,57 @@ def auc_full_gradient_tanh(theta: np.ndarray, data: Dataset) -> np.ndarray:
     s, pos = x @ theta, data.labels == 1
     sig = 0.5 * (1.0 + np.tanh(0.5 * (s[~pos] - s[pos][:, None])))  # sigma(s_j - s_i)
     return (sig.sum(axis=0) @ x[~pos] - sig.sum(axis=1) @ x[pos]) / n ** 2
+
+
+def auc_pair_gradients_broadcast(theta_stack: np.ndarray, data: Dataset, own_idx,
+                                 partner_idx) -> np.ndarray:
+    """sigma(s_r) gate_r (x_partner - x_own) per row r of the stack, with
+    s_r = (x_partner - x_own)' theta_r, in the overflow-safe tanh form of sigma."""
+    x, labels = data.features, data.labels
+    diffs = x[partner_idx] - x[own_idx]
+    s = np.einsum("kd,kd->k", diffs, theta_stack)
+    gate = (labels[own_idx] > labels[partner_idx]).astype(float)
+    sig = 0.5 * (1.0 + np.tanh(0.5 * s))
+    return (gate * sig)[:, None] * diffs
+
+
+def auc_objective_broadcast(thetas: np.ndarray, data: Dataset) -> np.ndarray:
+    """(1/n^2) sum_{positive i, negative j} log(1 + e^(s_j - s_i)) per row of a
+    stack: log1p of the broadcast product e^(u_i) e^(u_j) of signed scores
+    u = -l x theta while every |u| of the row < _SAFE_SCORE, else logaddexp."""
+    pos, neg = data.labels == 1, data.labels == -1
+    u = thetas @ (data.features * -data.labels[:, None]).T
+    e = np.exp(np.minimum(u, _SAFE_SCORE))
+    sums = np.log1p(e[:, pos, None] * e[:, None, neg]).sum(axis=(1, 2))
+    for k in np.flatnonzero(np.abs(u).max(axis=1) >= _SAFE_SCORE):
+        sums[k] = np.logaddexp(0.0, u[k, neg] + u[k, pos][:, None]).sum()
+    return sums / data.n ** 2
+
+
+def auc_full_gradient_broadcast(theta: np.ndarray, data: Dataset) -> np.ndarray:
+    """Exact AUC gradient with sigma(s_j - s_i) = 1 / (1 + e^(-u_i) e^(-u_j))
+    from a `multiply.outer` product while every |u| < _SAFE_SCORE, else from
+    tanh on every pair (u as in `auc_objective_broadcast`)."""
+    n, x, pos = data.n, data.features, data.labels == 1
+    u = (x * -data.labels[:, None]) @ theta
+    if np.abs(u).max() < _SAFE_SCORE:
+        e = np.exp(-u)
+        sig = 1.0 / (1.0 + np.multiply.outer(e[pos], e[~pos]))
+    else:
+        sig = 0.5 * (1.0 + np.tanh(0.5 * (u[~pos] + u[pos][:, None])))
+    return (sig.sum(axis=0) @ x[~pos] - sig.sum(axis=1) @ x[pos]) / n ** 2
+
+
+def auc_score(theta: np.ndarray, data: Dataset) -> float:
+    """Exact pairwise AUC with strict score inequality (ties score zero)."""
+    if theta.ndim != 1:
+        raise ValueError("auc_score expects a vector parameter")
+    n_pos = int((data.labels == 1).sum())
+    n_neg = int((data.labels == -1).sum())
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC needs at least one positive and one negative label")
+    s = data.features @ theta
+    return float((s[data.labels == 1][:, None] > s[data.labels == -1]).sum()) / (n_pos * n_neg)
 
 
 def smoothing_objective(reg: Regularizer, z: np.ndarray, t: float, gamma_t: float,

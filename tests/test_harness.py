@@ -392,13 +392,6 @@ class TestRunExperiment:
         assert (out / "trace_gossip.csv").exists()
         assert (out / "trace_unbiased_baseline.csv").exists()
 
-    def test_run_many(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PAIRGOSSIP_THREADS", "2")
-        path = sync_config(tmp_path)
-        outs = harness.run_many([(path, tmp_path / "j1", 1),
-                                 (path, tmp_path / "j2", 2)])
-        assert all((o / "summary.json").exists() for o in outs)
-
 
 class TestCli:
     def test_spectral_gap_format(self, capsys):

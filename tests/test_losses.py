@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from pairgossip.datasets import gen_two_class_gaussians
-from pairgossip.losses import (Dataset, PairwiseLoss, auc_score, full_gradient,
+from pairgossip.losses import (_SAFE_SCORE, Dataset, PairwiseLoss, full_gradient,
                                full_objective, loss_lipschitz, pair_gradients)
 from pairgossip.regularizers import Regularizer
 from pairgossip.sync_gossip import ALL_NODES
 
-from oracles import (DataPoint, auc_full_gradient_tanh, exact_partial_gradient,
-                     loss_grad, loss_value, point)
+from oracles import (DataPoint, auc_full_gradient_broadcast, auc_full_gradient_tanh,
+                     auc_objective_broadcast, auc_pair_gradients_broadcast, auc_score,
+                     exact_partial_gradient, loss_grad, loss_value, point)
 
 AUC = PairwiseLoss("auc_logistic")
 HINGE = PairwiseLoss("metric_hinge", b=1.0)
@@ -289,6 +290,45 @@ class TestPairGradients:
                 got = pair_gradients(loss, stack, data, ALL_NODES, partners)
                 active = np.any(got != 0.0, axis=(1, 2))
                 assert active.any() and not active.all()
+
+
+class TestAucKernelsBitIdentical:
+    """The AUC kernels against their broadcast oracles, byte for byte: the
+    in-place and einsum forms perform the same floating-point operations."""
+
+    DATA = gen_two_class_gaussians(60, 5, np.random.default_rng(13), separation=1.0)
+
+    @staticmethod
+    def same_bytes(got, want):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_pair_gradients(self):
+        rng = np.random.default_rng(14)
+        n = self.DATA.n
+        stack = rng.standard_normal((n, 5))
+        partners = rng.permutation(n)
+        for own, rows, part in ((ALL_NODES, stack, partners),  # synchronous
+                                (np.array([7, 3]), stack[[7, 3]], partners[[7, 3]]),
+                                (np.array([4]), stack[:1], np.array([9]))):
+            self.same_bytes(pair_gradients(AUC, rows, self.DATA, own, part),
+                            auc_pair_gradients_broadcast(rows, self.DATA, own, part))
+
+    def test_full_objective_with_a_logaddexp_row(self):
+        rng = np.random.default_rng(15)
+        stack = rng.standard_normal((6, 5))
+        stack[2] *= 500.0
+        u = stack @ self.DATA.features.T
+        assert np.abs(u[2]).max() >= _SAFE_SCORE > np.abs(np.delete(u, 2, 0)).max()
+        self.same_bytes(full_objective(stack, self.DATA, AUC, ZERO),
+                        auc_objective_broadcast(stack, self.DATA))
+
+    @pytest.mark.parametrize("scale", [1.0, 500.0])  # both sides of _SAFE_SCORE
+    def test_full_gradient(self, scale):
+        theta = scale * np.random.default_rng(16).standard_normal(5)
+        beyond = np.abs(self.DATA.features @ theta).max() >= _SAFE_SCORE
+        assert beyond == (scale > 1.0)
+        self.same_bytes(full_gradient(theta, self.DATA, AUC),
+                        auc_full_gradient_broadcast(theta, self.DATA))
 
 
 class TestAucScore:
